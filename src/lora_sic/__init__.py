@@ -40,18 +40,8 @@ from .geometry import (
     sample_distance_in_ring,
     uniform_traffic,
 )
-from .mcsim import (
-    DEFAULT_SEED,
-    McEstimate,
-    McReport,
-    TrialDraw,
-    TrialOutcome,
-    draw_trial,
-    estimate,
-    run_trial,
-    score_trial,
-)
 from .params import (
+    DEFAULT_SEED,
     RadioConfig,
     SfParams,
     db_to_linear,
@@ -60,7 +50,7 @@ from .params import (
     linear_to_db,
     noise_power_dbm,
 )
-from .specfun import ConvergenceError, hyp2f1_1b, q2_integral_quadrature
+from .specfun import ConvergenceError, hyp2f1_1b
 
 __version__ = "0.1.0"
 
@@ -100,7 +90,6 @@ __all__ = [
     "nodes_from_alpha",
     "noise_power_dbm",
     "path_loss_gain",
-    "q2_integral_quadrature",
     "resolve_intensity",
     "ring_area",
     "ring_of",
@@ -113,3 +102,28 @@ __all__ = [
     "uniform_traffic",
     "with_capture_threshold",
 ]
+
+# The Monte Carlo names load numpy, so they are imported on first access
+# (PEP 562); the analytic commands never pay for it.
+_MCSIM_NAMES = frozenset({
+    "McEstimate",
+    "McReport",
+    "TrialDraw",
+    "TrialOutcome",
+    "draw_trial",
+    "estimate",
+    "run_trial",
+    "score_trial",
+})
+
+
+def __getattr__(name: str) -> object:
+    if name in _MCSIM_NAMES:
+        from . import mcsim
+
+        return getattr(mcsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MCSIM_NAMES)

@@ -11,6 +11,7 @@ the same threshold, allowing the gateway to decode and cancel it first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -117,10 +118,14 @@ def _snr_demand(d1: float, cfg: NetworkConfig, ring: int) -> float:
 
 def connection_probability(d1: float, cfg: NetworkConfig) -> float:
     """Probability the faded reference signal clears its SF's SNR threshold."""
-    ring = ring_of(d1, cfg.layout)
+    return _connection_probability(d1, cfg, ring_of(d1, cfg.layout))
+
+
+def _connection_probability(d1: float, cfg: NetworkConfig, ring: int) -> float:
     return math.exp(-_snr_demand(d1, cfg, ring))
 
 
+@functools.lru_cache(maxsize=1024)
 def _ring_capture_kernel(
     d1: float, gamma_lin: float, eta: float, l_lo: float, l_hi: float
 ) -> float:
@@ -128,8 +133,12 @@ def _ring_capture_kernel(
 
     This is the probability that the Rayleigh-faded signal from d1 beats one
     interferer drawn from the ring by the factor gamma.  Closed form via the
-    hypergeometric antiderivative of x/(1 + c x^eta); the quadrature twin
-    lives in :func:`lora_sic.specfun.q2_integral_quadrature`.
+    hypergeometric antiderivative of x/(1 + c x^eta); the test suite checks
+    it against adaptive quadrature of the same integral.
+
+    The kernel does not depend on the interferer intensity, so it is memoized:
+    an alpha sweep or a ``plan`` bisection at one d1 evaluates it once per
+    threshold instead of once per point.
     """
     b = 2.0 / eta
     d_eta = d1**eta
@@ -145,9 +154,12 @@ def capture_probability(d1: float, cfg: NetworkConfig, alpha_i: float) -> float:
     threshold: exp(-alpha * E[gamma d1^eta / (gamma d1^eta + D^eta)]), the
     expectation running over the ring distance density.
     """
+    return _capture_probability(d1, cfg, alpha_i, ring_of(d1, cfg.layout))
+
+
+def _capture_probability(d1: float, cfg: NetworkConfig, alpha_i: float, ring: int) -> float:
     if alpha_i < 0:
         raise ValueError(f"alpha_i must be nonnegative, got {alpha_i}")
-    ring = ring_of(d1, cfg.layout)
     if alpha_i == 0.0:
         return 1.0
     l_lo, l_hi = cfg.layout.bounds(ring)
@@ -165,9 +177,14 @@ def sic_capture_probability(d1: float, cfg: NetworkConfig, alpha_i: float) -> fl
     reference signal; the Poisson cardinality contributes alpha*e^-alpha and
     the geometry the mean pairwise capture factor.
     """
+    return _sic_capture_probability(d1, cfg, alpha_i, ring_of(d1, cfg.layout))
+
+
+def _sic_capture_probability(
+    d1: float, cfg: NetworkConfig, alpha_i: float, ring: int
+) -> float:
     if alpha_i < 0:
         raise ValueError(f"alpha_i must be nonnegative, got {alpha_i}")
-    ring = ring_of(d1, cfg.layout)
     if alpha_i == 0.0:
         return 0.0
     l_lo, l_hi = cfg.layout.bounds(ring)
@@ -185,9 +202,9 @@ def coverage(d1: float, cfg: NetworkConfig, alpha_i: float | None = None) -> Cov
     ring = ring_of(d1, cfg.layout)
     if alpha_i is None:
         alpha_i = interferer_intensity(ring, cfg.traffic, cfg.layout)
-    h1 = connection_probability(d1, cfg)
-    q1 = capture_probability(d1, cfg, alpha_i)
-    q2 = sic_capture_probability(d1, cfg, alpha_i)
+    h1 = _connection_probability(d1, cfg, ring)
+    q1 = _capture_probability(d1, cfg, alpha_i, ring)
+    q2 = _sic_capture_probability(d1, cfg, alpha_i, ring)
     return CoverageBreakdown(
         h1=h1,
         q1=q1,

@@ -5,10 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from . import mcsim
 from .analytic import NetworkConfig, coverage, with_capture_threshold
 from .geometry import interferer_intensity, nodes_from_alpha, ring_of, uniform_traffic
-from .params import SfParams
+from .params import DEFAULT_SEED, SfParams
 
 SWEEP_VARIABLES = ("d1", "alpha", "gamma_db", "nbar")
 
@@ -34,7 +33,7 @@ class SweepSpec:
     alpha: float | None = 1.0
     nbar: float | None = None
     mc_trials: int = 0
-    seed: int = mcsim.DEFAULT_SEED
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
@@ -118,6 +117,8 @@ def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
             c1_sic=breakdown.c1_sic,
         )
         if spec.mc_trials > 0:
+            from . import mcsim  # loads numpy, which analytic sweeps never need
+
             report = mcsim.estimate(
                 d1,
                 point_cfg,

@@ -18,10 +18,7 @@ import numpy as np
 
 from .analytic import NetworkConfig, path_loss_gain
 from .geometry import ring_of, sample_distance_in_ring
-from .params import db_to_linear
-
-#: Default master seed for every randomized entry point (never wall-clock).
-DEFAULT_SEED = 42
+from .params import DEFAULT_SEED, db_to_linear
 
 #: Trials per chunk; fixed so estimates are independent of worker count.
 CHUNK_TRIALS = 1 << 14

@@ -12,6 +12,9 @@ SPEED_OF_LIGHT_M_S = 2.998e8
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
+#: Default master seed for every randomized entry point (never wall-clock).
+DEFAULT_SEED = 42
+
 
 @dataclass(frozen=True)
 class SfParams:

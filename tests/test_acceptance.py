@@ -24,7 +24,8 @@ from lora_sic.cli import main, validation_checks
 from lora_sic.experiments import capacity_table, find_alpha_for_target
 from lora_sic.mcsim import estimate
 from lora_sic.params import MESSAGE_PERIOD_MS, default_sf_table, duty_cycle_from_toa
-from lora_sic.specfun import hyp2f1_1b, q2_integral_quadrature
+from lora_sic.specfun import hyp2f1_1b
+from quadrature import q2_integral_quadrature
 
 SEED = 20240101
 

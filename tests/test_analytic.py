@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lora_sic import analytic
 from lora_sic.analytic import (
     NetworkConfig,
     capture_probability,
@@ -13,9 +14,11 @@ from lora_sic.analytic import (
     single_interferer_given_collision,
     with_capture_threshold,
 )
+from lora_sic.experiments import SweepSpec, sweep
 from lora_sic.geometry import OutOfCoverageError, default_layout, uniform_traffic
 from lora_sic.params import RadioConfig, db_to_linear, default_sf_table, linear_to_db
-from lora_sic.specfun import q2_integral_quadrature
+from lora_sic.specfun import hyp2f1_1b
+from quadrature import q2_integral_quadrature
 
 # Border operating point values, frozen from a 40-digit independent
 # evaluation of the defining integrals (noise and path loss computed exactly).
@@ -248,3 +251,19 @@ def test_closed_forms_match_quadrature_on_grid(cfg):
                         * q2_integral_quadrature(d1, gamma_lin, eta, lo, hi)
                     )
                     assert q2 == pytest.approx(expected_q2, rel=1e-8)
+
+
+def test_alpha_sweep_evaluates_each_ring_kernel_once(cfg, monkeypatch):
+    """The ring kernels do not depend on alpha, so a sweep over it reuses them."""
+    calls = []
+
+    def counting_hyp2f1(b, z):
+        calls.append((b, z))
+        return hyp2f1_1b(b, z)
+
+    analytic._ring_capture_kernel.cache_clear()
+    monkeypatch.setattr(analytic, "hyp2f1_1b", counting_hyp2f1)
+    rows = sweep(SweepSpec(variable="alpha", start=0.05, stop=5.0, step=0.05), cfg)
+    assert len(rows) == 100
+    # Two kernels (thresholds gamma and 1/gamma), two hypergeometric terms each.
+    assert len(calls) <= 4

@@ -179,6 +179,17 @@ def test_bad_override_exit_status(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("override", ["path_loss_exp=150", "tx_power_dbm=1e6"])
+def test_arithmetic_error_exit_status(capsys, override):
+    # A huge exponent underflows the path gain to zero (ZeroDivisionError);
+    # a huge power overflows the dB conversion (OverflowError).
+    code, out, err = _run(capsys, ["--set", override, "coverage", "--d1", "3000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # --- output stability -------------------------------------------------------
 
 def test_csv_bytes_stable_across_runs(tmp_path):

@@ -1,0 +1,73 @@
+"""The analytic path imports neither numpy nor scipy; only Monte Carlo loads numpy.
+
+Each check runs in a fresh interpreter, because this test session has long
+since imported both.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lora_sic
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs cli.main on its arguments (if any), then prints the exit status and
+# which of numpy and scipy ended up in sys.modules.
+_PROBE = """
+import contextlib, io, sys
+import lora_sic
+code = None
+if sys.argv[1:]:
+    from lora_sic import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+print(code, *sorted(name for name in ("numpy", "scipy") if name in sys.modules))
+"""
+
+
+def _fresh(*argv: str) -> list[str]:
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return proc.stdout.split()
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    assert _fresh() == ["None"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coverage", "--d1", "3000"],
+        ["plan", "--target", "0.8", "--sic"],
+        ["capacity", "--alphas", "0.2,1"],
+        ["sweep", "--var", "alpha", "--start", "0.1", "--stop", "2", "--step", "0.1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_analytic_commands_load_neither_numpy_nor_scipy(argv):
+    assert _fresh(*argv) == ["0"]
+
+
+def test_monte_carlo_loads_numpy():
+    assert _fresh("mc", "--d1", "3000", "--trials", "10") == ["0", "numpy"]
+
+
+def test_every_public_name_resolves():
+    for name in lora_sic.__all__:
+        assert getattr(lora_sic, name) is not None, name
+    assert set(lora_sic.__all__) <= set(dir(lora_sic))
+    assert lora_sic.estimate is lora_sic.mcsim.estimate
+    with pytest.raises(AttributeError):
+        lora_sic.no_such_name

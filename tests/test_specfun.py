@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
-from lora_sic.specfun import hyp2f1_1b, q2_integral_quadrature
+from lora_sic.specfun import hyp2f1_1b
+from quadrature import q2_integral_quadrature
 
 # Arguments spanning all three evaluation branches.
 Z_GRID = [0.0, -1e-12, -1e-3, -0.1, -0.3, -0.5, -0.7, -0.9, -1.0, -1.2, -1.5,
