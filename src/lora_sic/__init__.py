@@ -70,8 +70,6 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "TrafficModel",
-    "TrialDraw",
-    "TrialOutcome",
     "capacity_table",
     "capture_probability",
     "connection_probability",
@@ -80,7 +78,6 @@ __all__ = [
     "default_config",
     "default_layout",
     "default_sf_table",
-    "draw_trial",
     "duty_cycle_from_toa",
     "estimate",
     "find_alpha_for_target",
@@ -93,9 +90,7 @@ __all__ = [
     "resolve_intensity",
     "ring_area",
     "ring_of",
-    "run_trial",
     "sample_distance_in_ring",
-    "score_trial",
     "sic_capture_probability",
     "single_interferer_given_collision",
     "sweep",
@@ -105,16 +100,7 @@ __all__ = [
 
 # The Monte Carlo names load numpy, so they are imported on first access
 # (PEP 562); the analytic commands never pay for it.
-_MCSIM_NAMES = frozenset({
-    "McEstimate",
-    "McReport",
-    "TrialDraw",
-    "TrialOutcome",
-    "draw_trial",
-    "estimate",
-    "run_trial",
-    "score_trial",
-})
+_MCSIM_NAMES = frozenset({"McEstimate", "McReport", "estimate"})
 
 
 def __getattr__(name: str) -> object:

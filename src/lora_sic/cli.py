@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import argparse
+import inspect
+import math
 import sys
+from dataclasses import fields
 from typing import IO, Sequence
 
 from .analytic import (
     NetworkConfig,
     coverage,
+    default_config,
     single_interferer_given_collision,
 )
 from .experiments import (
@@ -20,24 +24,27 @@ from .experiments import (
     resolve_intensity,
     sweep,
 )
-from .geometry import OutOfCoverageError, default_layout, uniform_traffic
-from .params import DEFAULT_SEED, RadioConfig, default_sf_table
+from .geometry import OutOfCoverageError
+from .params import DEFAULT_SEED, RadioConfig
 from .specfun import ConvergenceError
 
 #: Grid for the analytic-vs-MC validation report: three rings, three loads.
 VALIDATE_D1 = (400.0, 1700.0, 3000.0)
 VALIDATE_ALPHA = (0.25, 0.5, 1.0)
 
+#: Config keys named differently from their ``default_config`` argument.
+_CONFIG_ARGS = {"gamma_db": "capture_threshold_db"}
+_ARG_KEYS = {arg: key for key, arg in _CONFIG_ARGS.items()}
+
+# Every config key with its default: the scenario arguments of default_config
+# plus the RadioConfig fields it forwards.
 _CONFIG_DEFAULTS: dict[str, float] = {
-    "radius_m": 3000.0,
-    "gamma_db": 1.0,
-    "path_loss_exp": 2.8,
-    "carrier_hz": 868e6,
-    "bandwidth_hz": 125e3,
-    "tx_power_dbm": 14.0,
-    "noise_figure_db": 6.0,
-    "duty_cycle": 0.01,
-    "nbar": 0.0,
+    **{
+        name: param.default
+        for name, param in inspect.signature(default_config).parameters.items()
+        if param.default is not param.empty
+    },
+    **{_ARG_KEYS.get(f.name, f.name): f.default for f in fields(RadioConfig)},
 }
 
 
@@ -50,15 +57,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        # The text argparse itself prints when type=float fails.
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _set_value(values: dict[str, float], key: str, raw_value: str, where: str) -> None:
     if key not in _CONFIG_DEFAULTS:
         raise ValueError(f"unknown config key: {key!r}")
     try:
-        values[key] = float(raw_value.strip())
+        value = float(raw_value.strip())
     except ValueError:
         raise ValueError(
             f"config key {key!r} expects a number, got {raw_value.strip()!r} ({where})"
         ) from None
+    if not math.isfinite(value):
+        raise ValueError(
+            f"config key {key!r} must be finite, got {raw_value.strip()!r} ({where})"
+        )
+    values[key] = value
 
 
 def _parse_values(text: str) -> dict[str, float]:
@@ -87,23 +111,9 @@ def parse_config(text: str) -> NetworkConfig:
 
 
 def config_from_values(values: dict[str, float]) -> NetworkConfig:
-    radio = RadioConfig(
-        carrier_hz=values["carrier_hz"],
-        bandwidth_hz=values["bandwidth_hz"],
-        tx_power_dbm=values["tx_power_dbm"],
-        noise_figure_db=values["noise_figure_db"],
-        path_loss_exp=values["path_loss_exp"],
-        capture_threshold_db=values["gamma_db"],
-    )
     if values["nbar"] < 0:
         raise ValueError(f"nbar must be nonnegative, got {values['nbar']}")
-    layout = default_layout(radius_m=values["radius_m"])
-    return NetworkConfig(
-        radio=radio,
-        layout=layout,
-        sf_table=default_sf_table(),
-        traffic=uniform_traffic(values["nbar"], values["duty_cycle"], layout.n_rings),
-    )
+    return default_config(**{_CONFIG_ARGS.get(key, key): v for key, v in values.items()})
 
 
 def _fmt(value: object) -> str:
@@ -280,6 +290,8 @@ def _cmd_capacity(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) ->
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     except ValueError:
         raise UsageError(f"--alphas expects comma-separated numbers, got {args.alphas!r}")
+    if not all(math.isfinite(a) for a in alphas):
+        raise UsageError(f"--alphas entries must be finite, got {args.alphas!r}")
     if not alphas:
         raise UsageError("--alphas must name at least one intensity")
     rows = capacity_table(alphas, cfg.sf_table)
@@ -324,25 +336,25 @@ def _build_parser() -> _Parser:
 
     def _pinning(sub_parser: argparse.ArgumentParser) -> None:
         group = sub_parser.add_mutually_exclusive_group()
-        group.add_argument("--alpha", type=float)
-        group.add_argument("--nbar", type=float)
+        group.add_argument("--alpha", type=_finite_float)
+        group.add_argument("--nbar", type=_finite_float)
 
     p = sub.add_parser("coverage", help="probability breakdown at one distance")
-    p.add_argument("--d1", type=float, required=True)
+    p.add_argument("--d1", type=_finite_float, required=True)
     _pinning(p)
 
     p = sub.add_parser("sweep", help="grid sweep of the breakdown")
     p.add_argument("--var", choices=("d1", "alpha", "gamma_db"), required=True)
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--d1", type=float, default=3000.0)
+    p.add_argument("--start", type=_finite_float, required=True)
+    p.add_argument("--stop", type=_finite_float, required=True)
+    p.add_argument("--step", type=_finite_float, required=True)
+    p.add_argument("--d1", type=_finite_float, default=SweepSpec.d1)
     _pinning(p)
     p.add_argument("--mc-trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("mc", help="Monte Carlo estimates at one operating point")
-    p.add_argument("--d1", type=float, required=True)
+    p.add_argument("--d1", type=_finite_float, required=True)
     _pinning(p)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -355,9 +367,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--alphas", required=True, help="comma-separated intensities")
 
     p = sub.add_parser("plan", help="largest intensity meeting a coverage target")
-    p.add_argument("--target", type=float, required=True)
+    p.add_argument("--target", type=_finite_float, required=True)
     p.add_argument("--sic", action="store_true")
-    p.add_argument("--d1", type=float, default=3000.0)
+    p.add_argument("--d1", type=_finite_float, default=SweepSpec.d1)
 
     return parser
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
-from .analytic import NetworkConfig, path_loss_gain
-from .geometry import ring_of, sample_distance_in_ring
+from .analytic import NetworkConfig
+from .geometry import ring_of
 from .params import DEFAULT_SEED, db_to_linear
 
 #: Trials per chunk; fixed so estimates are independent of worker count.
@@ -38,35 +37,6 @@ def derive_seed(seed: int, index: int) -> int:
     x = (x * 0x94D049BB133111EB) & _MASK64
     x ^= x >> 31
     return x
-
-
-class UniformSource(Protocol):
-    def random(self) -> float: ...
-
-
-@dataclass(frozen=True)
-class TrialDraw:
-    """Raw randomness of one trial: interferer count, positions and fading.
-
-    ``fading_powers`` holds the reference node's draw first, then one entry
-    per interferer; ``gains`` are the corresponding received powers in mW.
-    """
-
-    k: int
-    interferer_distances: tuple[float, ...]
-    fading_powers: tuple[float, ...]
-    gains: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Decoded flags of one trial."""
-
-    connected: bool
-    captured: bool
-    sic_decoded: bool
-    success_c1: bool
-    success_c1_sic: bool
 
 
 @dataclass(frozen=True)
@@ -91,7 +61,7 @@ class McReport:
 
 def _poisson_cdf(alpha: float) -> np.ndarray:
     """CDF table for inversion sampling, truncated at mass 1-1e-15."""
-    if alpha < 0 or alpha > MAX_ALPHA:
+    if not 0.0 <= alpha <= MAX_ALPHA:
         raise ValueError(f"alpha must lie in [0, {MAX_ALPHA}], got {alpha}")
     pmf = math.exp(-alpha)
     cdf = [pmf]
@@ -103,96 +73,29 @@ def _poisson_cdf(alpha: float) -> np.ndarray:
     return np.asarray(cdf)
 
 
-def _poisson_inverse(alpha: float, u: float) -> int:
-    """Smallest k with CDF(k) >= u."""
-    cdf = _poisson_cdf(alpha)
-    return int(np.searchsorted(cdf, u, side="left"))
+def _outcome_counts(
+    d1: float,
+    cfg: NetworkConfig,
+    k: np.ndarray,
+    u_fade: np.ndarray,
+    u_dist: np.ndarray,
+    u_int_fade: np.ndarray,
+) -> np.ndarray:
+    """Score trials given their interferer counts and uniform variates.
 
-
-def _exponential(u: float) -> float:
-    return -math.log1p(-u)
-
-
-def draw_trial(
-    d1: float, cfg: NetworkConfig, alpha_i: float, rng: UniformSource
-) -> TrialDraw:
-    """Draw the randomness of one reception; the caller owns the uniform source.
-
-    Draw order: interferer count, reference fading, all interferer distances,
-    all interferer fadings.  Poisson counts by CDF inversion, exponentials as
-    -ln(1-u), distances by the ring's inverse CDF.
-    """
-    ring = ring_of(d1, cfg.layout)
-    k = _poisson_inverse(alpha_i, rng.random())
-    fadings = [_exponential(rng.random())]
-    distances = [sample_distance_in_ring(ring, cfg.layout, rng.random()) for _ in range(k)]
-    fadings += [_exponential(rng.random()) for _ in range(k)]
-
-    tx_mw = cfg.radio.tx_power_mw
-    gains = [tx_mw * fadings[0] * path_loss_gain(d1, cfg.radio)]
-    gains += [
-        tx_mw * h * path_loss_gain(d, cfg.radio)
-        for h, d in zip(fadings[1:], distances)
-    ]
-    return TrialDraw(
-        k=k,
-        interferer_distances=tuple(distances),
-        fading_powers=tuple(fadings),
-        gains=tuple(gains),
-    )
-
-
-def run_trial(
-    d1: float, cfg: NetworkConfig, alpha_i: float, rng: UniformSource
-) -> TrialOutcome:
-    """Simulate one reception and decode it.
+    ``k`` and ``u_fade`` (reference fading) hold one entry per trial;
+    ``u_dist`` and ``u_int_fade`` hold one entry per interferer, trial by
+    trial, so their length is ``k.sum()``.  Fading powers are -ln(1-u),
+    distances follow the ring's inverse CDF.
 
     * connected  -- reference power above the ring's SNR threshold over noise
     * captured   -- reference power at least gamma times the interference sum
                     (vacuously true with no interferers)
-    * sic_decoded -- exactly one interferer, it beats the reference by gamma,
+    * sic        -- exactly one interferer, it beats the reference by gamma,
                     and both signals individually sit above the noise demand
-    """
-    return score_trial(draw_trial(d1, cfg, alpha_i, rng), d1, cfg)
 
-
-def score_trial(draw: TrialDraw, d1: float, cfg: NetworkConfig) -> TrialOutcome:
-    ring = ring_of(d1, cfg.layout)
-    gamma = cfg.radio.capture_threshold
-    noise_demand = cfg.radio.noise_power_mw * db_to_linear(
-        cfg.sf_for_ring(ring).snr_threshold_db
-    )
-    g1 = draw.gains[0]
-    interference = sum(draw.gains[1:])
-    connected = g1 >= noise_demand
-    captured = draw.k == 0 or g1 >= gamma * interference
-    sic_decoded = (
-        draw.k == 1
-        and draw.gains[1] >= gamma * g1
-        and draw.gains[1] >= noise_demand
-        and g1 >= noise_demand
-    )
-    return TrialOutcome(
-        connected=connected,
-        captured=captured,
-        sic_decoded=sic_decoded,
-        success_c1=connected and captured,
-        success_c1_sic=connected and (captured or sic_decoded),
-    )
-
-
-def _chunk_counts(
-    d1: float,
-    cfg: NetworkConfig,
-    alpha_i: float,
-    cdf: np.ndarray,
-    n: int,
-    chunk_seed: int,
-) -> np.ndarray:
-    """Outcome counts over one chunk of n trials, fully vectorized.
-
-    Draw order matches :func:`run_trial`: counts, reference fadings, all
-    interferer distances, all interferer fadings.
+    Returns the counts [trials, connected, captured, success_c1,
+    success_c1_sic, collisions, singles, captured-and-sic overlap].
     """
     ring = ring_of(d1, cfg.layout)
     l_lo, l_hi = cfg.layout.bounds(ring)
@@ -204,13 +107,9 @@ def _chunk_counts(
     eta = cfg.radio.path_loss_exp
     coeff = cfg.radio.wavelength_m / (4.0 * math.pi)
 
-    rng = np.random.Generator(np.random.PCG64(chunk_seed))
-    k = np.searchsorted(cdf, rng.random(n), side="left")
-    h1 = -np.log1p(-rng.random(n))
-    total = int(k.sum())
-    u_dist = rng.random(total)
-    h_int = -np.log1p(-rng.random(total))
-
+    n = len(k)
+    h1 = -np.log1p(-u_fade)
+    h_int = -np.log1p(-u_int_fade)
     dist = np.sqrt(l_lo * l_lo + u_dist * (l_hi * l_hi - l_lo * l_lo))
     g1 = tx_mw * h1 * (coeff / d1) ** eta
     with np.errstate(divide="ignore"):
@@ -242,6 +141,22 @@ def _chunk_counts(
         ],
         dtype=np.int64,
     )
+
+
+def _chunk_counts(
+    d1: float, cfg: NetworkConfig, cdf: np.ndarray, n: int, chunk_seed: int
+) -> np.ndarray:
+    """Outcome counts over one chunk of n trials drawn from its own stream.
+
+    Draw order: interferer counts (Poisson by CDF inversion), reference
+    fadings, all interferer distances, all interferer fadings.
+    """
+    rng = np.random.Generator(np.random.PCG64(chunk_seed))
+    k = np.searchsorted(cdf, rng.random(n), side="left")
+    u_fade = rng.random(n)
+    total = int(k.sum())
+    u_dist = rng.random(total)
+    return _outcome_counts(d1, cfg, k, u_fade, u_dist, rng.random(total))
 
 
 def _estimate_from(successes: int, trials: int) -> McEstimate:
@@ -285,7 +200,7 @@ def estimate(
 
     def one(index_size: tuple[int, int]) -> np.ndarray:
         index, size = index_size
-        return _chunk_counts(d1, cfg, alpha_i, cdf, size, derive_seed(seed, index))
+        return _chunk_counts(d1, cfg, cdf, size, derive_seed(seed, index))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

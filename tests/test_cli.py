@@ -1,5 +1,6 @@
 import pytest
 
+from lora_sic.analytic import default_config
 from lora_sic.cli import main, parse_config
 
 
@@ -26,6 +27,10 @@ def test_empty_config_is_default_scenario():
     assert cfg.radio.noise_figure_db == 6.0
     assert cfg.traffic.duty_cycles == (0.01,) * 6
     assert cfg.traffic.n_bar == 0.0
+
+
+def test_empty_config_equals_default_config():
+    assert parse_config("") == default_config()
 
 
 def test_config_overrides_and_comments():
@@ -187,6 +192,27 @@ def test_arithmetic_error_exit_status(capsys, override):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["coverage", "--d1", "nan"], "--d1"),
+        (["coverage", "--d1", "3000", "--alpha", "inf"], "--alpha"),
+        (["mc", "--d1", "3000", "--alpha", "nan", "--trials", "10"], "--alpha"),
+        (["sweep", "--var", "d1", "--start", "100", "--stop", "3000", "--step", "nan"], "--step"),
+        (["capacity", "--alphas", "nan"], "--alphas"),
+        (["--set", "gamma_db=nan", "coverage", "--d1", "3000"], "gamma_db"),
+        (["--set", "radius_m=inf", "coverage", "--d1", "3000"], "radius_m"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_non_finite_input_names_the_option(capsys, argv, name):
+    code, out, err = _run(capsys, argv)
+    assert code in (1, 2)
+    assert out == ""
+    assert err.count("\n") == 1 and name in err
     assert "Traceback" not in err
 
 
