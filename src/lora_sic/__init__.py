@@ -37,7 +37,6 @@ from .geometry import (
     nodes_from_alpha,
     ring_area,
     ring_of,
-    sample_distance_in_ring,
     uniform_traffic,
 )
 from .params import (
@@ -90,7 +89,6 @@ __all__ = [
     "resolve_intensity",
     "ring_area",
     "ring_of",
-    "sample_distance_in_ring",
     "sic_capture_probability",
     "single_interferer_given_collision",
     "sweep",

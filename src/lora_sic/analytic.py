@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .geometry import (
     RingLayout,
@@ -109,20 +110,45 @@ def path_loss_gain(d: float, radio: RadioConfig) -> float:
     return (radio.wavelength_m / (4.0 * math.pi * d)) ** radio.path_loss_exp
 
 
-def _snr_demand(d1: float, cfg: NetworkConfig, ring: int) -> float:
-    """Noise-to-received-power ratio scaled by the ring's SNR threshold."""
+class _OperatingPoint(NamedTuple):
+    """The link budget at one reference distance, shared by both models.
+
+    Powers are in units of the reference node's mean received power: the
+    reference signal is its fading h ~ Exp(1), an interferer at D arrives
+    with h_i (d1/D)^eta, and ``demand`` is the noise power times the ring's
+    SNR threshold.  The node connects when h >= demand, so h1 = e^-demand.
+    """
+
+    d1: float
+    ring: int
+    l_lo: float
+    l_hi: float
+    gamma: float
+    eta: float
+    demand: float
+
+    def kernel(self, threshold: float) -> float:
+        """Probability that one ring interferer beats the reference by ``threshold``."""
+        return _ring_capture_kernel(self.d1, threshold, self.eta, self.l_lo, self.l_hi)
+
+
+def _operating_point(d1: float, cfg: NetworkConfig) -> _OperatingPoint:
+    ring = ring_of(d1, cfg.layout)
+    l_lo, l_hi = cfg.layout.bounds(ring)
+    radio = cfg.radio
     q_lin = db_to_linear(cfg.sf_for_ring(ring).snr_threshold_db)
-    mean_rx_mw = cfg.radio.tx_power_mw * path_loss_gain(d1, cfg.radio)
-    return cfg.radio.noise_power_mw * q_lin / mean_rx_mw
+    mean_rx_mw = radio.tx_power_mw * path_loss_gain(d1, radio)
+    demand = radio.noise_power_mw * q_lin / mean_rx_mw
+    return _OperatingPoint(
+        d1, ring, l_lo, l_hi, radio.capture_threshold, radio.path_loss_exp, demand
+    )
 
 
-def connection_probability(d1: float, cfg: NetworkConfig) -> float:
-    """Probability the faded reference signal clears its SF's SNR threshold."""
-    return _connection_probability(d1, cfg, ring_of(d1, cfg.layout))
-
-
-def _connection_probability(d1: float, cfg: NetworkConfig, ring: int) -> float:
-    return math.exp(-_snr_demand(d1, cfg, ring))
+def _check_intensity(alpha_i: float) -> None:
+    if not math.isfinite(alpha_i):
+        raise ValueError(f"alpha_i must be finite, got {alpha_i}")
+    if alpha_i < 0:
+        raise ValueError(f"alpha_i must be nonnegative, got {alpha_i}")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -131,20 +157,35 @@ def _ring_capture_kernel(
 ) -> float:
     """E over the ring distance density of d1^eta / (d1^eta + gamma D^eta).
 
-    This is the probability that the Rayleigh-faded signal from d1 beats one
-    interferer drawn from the ring by the factor gamma.  Closed form via the
+    This is the probability that one Rayleigh-faded interferer drawn from the
+    ring beats the signal from d1 by the factor gamma.  Closed form via the
     hypergeometric antiderivative of x/(1 + c x^eta); the test suite checks
     it against adaptive quadrature of the same integral.
 
     The kernel does not depend on the interferer intensity, so it is memoized:
-    an alpha sweep or a ``plan`` bisection at one d1 evaluates it once per
-    threshold instead of once per point.
+    an alpha sweep or a ``plan`` at one d1 evaluates it once per threshold
+    instead of once per point.
     """
     b = 2.0 / eta
     d_eta = d1**eta
     hi_term = l_hi**2 * hyp2f1_1b(b, -gamma_lin * l_hi**eta / d_eta)
     lo_term = l_lo**2 * hyp2f1_1b(b, -gamma_lin * l_lo**eta / d_eta) if l_lo > 0 else 0.0
     return (hi_term - lo_term) / (l_hi**2 - l_lo**2)
+
+
+def _q1(op: _OperatingPoint, alpha_i: float) -> float:
+    # Suppressing one interferer at D is winning the pairwise comparison at
+    # threshold 1/gamma with the roles of the two nodes swapped.
+    return math.exp(-alpha_i * op.kernel(1.0 / op.gamma)) if alpha_i else 1.0
+
+
+def _q2(op: _OperatingPoint, alpha_i: float) -> float:
+    return alpha_i * math.exp(-alpha_i) * op.kernel(op.gamma) if alpha_i else 0.0
+
+
+def connection_probability(d1: float, cfg: NetworkConfig) -> float:
+    """Probability the faded reference signal clears its SF's SNR threshold."""
+    return math.exp(-_operating_point(d1, cfg).demand)
 
 
 def capture_probability(d1: float, cfg: NetworkConfig, alpha_i: float) -> float:
@@ -154,20 +195,9 @@ def capture_probability(d1: float, cfg: NetworkConfig, alpha_i: float) -> float:
     threshold: exp(-alpha * E[gamma d1^eta / (gamma d1^eta + D^eta)]), the
     expectation running over the ring distance density.
     """
-    return _capture_probability(d1, cfg, alpha_i, ring_of(d1, cfg.layout))
-
-
-def _capture_probability(d1: float, cfg: NetworkConfig, alpha_i: float, ring: int) -> float:
-    if alpha_i < 0:
-        raise ValueError(f"alpha_i must be nonnegative, got {alpha_i}")
-    if alpha_i == 0.0:
-        return 1.0
-    l_lo, l_hi = cfg.layout.bounds(ring)
-    gamma = cfg.radio.capture_threshold
-    # Suppressing one interferer at D is winning the pairwise comparison at
-    # threshold 1/gamma with the roles of the two nodes swapped.
-    kernel = _ring_capture_kernel(d1, 1.0 / gamma, cfg.radio.path_loss_exp, l_lo, l_hi)
-    return math.exp(-alpha_i * kernel)
+    op = _operating_point(d1, cfg)
+    _check_intensity(alpha_i)
+    return _q1(op, alpha_i)
 
 
 def sic_capture_probability(d1: float, cfg: NetworkConfig, alpha_i: float) -> float:
@@ -177,20 +207,9 @@ def sic_capture_probability(d1: float, cfg: NetworkConfig, alpha_i: float) -> fl
     reference signal; the Poisson cardinality contributes alpha*e^-alpha and
     the geometry the mean pairwise capture factor.
     """
-    return _sic_capture_probability(d1, cfg, alpha_i, ring_of(d1, cfg.layout))
-
-
-def _sic_capture_probability(
-    d1: float, cfg: NetworkConfig, alpha_i: float, ring: int
-) -> float:
-    if alpha_i < 0:
-        raise ValueError(f"alpha_i must be nonnegative, got {alpha_i}")
-    if alpha_i == 0.0:
-        return 0.0
-    l_lo, l_hi = cfg.layout.bounds(ring)
-    gamma = cfg.radio.capture_threshold
-    kernel = _ring_capture_kernel(d1, gamma, cfg.radio.path_loss_exp, l_lo, l_hi)
-    return alpha_i * math.exp(-alpha_i) * kernel
+    op = _operating_point(d1, cfg)
+    _check_intensity(alpha_i)
+    return _q2(op, alpha_i)
 
 
 def coverage(d1: float, cfg: NetworkConfig, alpha_i: float | None = None) -> CoverageBreakdown:
@@ -199,12 +218,13 @@ def coverage(d1: float, cfg: NetworkConfig, alpha_i: float | None = None) -> Cov
     ``alpha_i`` may be given explicitly; otherwise it is derived from the
     scenario's traffic model for the ring containing ``d1``.
     """
-    ring = ring_of(d1, cfg.layout)
+    op = _operating_point(d1, cfg)
     if alpha_i is None:
-        alpha_i = interferer_intensity(ring, cfg.traffic, cfg.layout)
-    h1 = _connection_probability(d1, cfg, ring)
-    q1 = _capture_probability(d1, cfg, alpha_i, ring)
-    q2 = _sic_capture_probability(d1, cfg, alpha_i, ring)
+        alpha_i = interferer_intensity(op.ring, cfg.traffic, cfg.layout)
+    _check_intensity(alpha_i)
+    h1 = math.exp(-op.demand)
+    q1 = _q1(op, alpha_i)
+    q2 = _q2(op, alpha_i)
     return CoverageBreakdown(
         h1=h1,
         q1=q1,
@@ -212,7 +232,7 @@ def coverage(d1: float, cfg: NetworkConfig, alpha_i: float | None = None) -> Cov
         c1=h1 * q1,
         c1_sic=h1 * (q1 + q2),
         alpha_i=alpha_i,
-        ring=ring,
+        ring=op.ring,
         d1=d1,
     )
 

@@ -5,11 +5,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .analytic import NetworkConfig, coverage, with_capture_threshold
+from .analytic import NetworkConfig, _operating_point, coverage, with_capture_threshold
 from .geometry import interferer_intensity, nodes_from_alpha, ring_of, uniform_traffic
 from .params import DEFAULT_SEED, SfParams
 
 SWEEP_VARIABLES = ("d1", "alpha", "gamma_db", "nbar")
+
+#: Largest grid a sweep may build; a tiny step would otherwise exhaust memory.
+MAX_SWEEP_POINTS = 1_000_000
 
 
 class InfeasibleTargetError(ValueError):
@@ -40,19 +43,31 @@ class SweepSpec:
             raise ValueError(
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
             )
+        for name in ("start", "stop", "step", "d1", "alpha", "nbar"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.stop < self.start:
             raise ValueError("stop must not precede start")
+        if not self._steps() < MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"a grid from {self.start} to {self.stop} by {self.step} would "
+                f"exceed {MAX_SWEEP_POINTS} points"
+            )
         if self.mc_trials < 0:
             raise ValueError("mc_trials must be nonnegative")
         if self.alpha is not None and self.nbar is not None:
             raise ValueError("give either alpha or nbar, not both")
 
+    def _steps(self) -> float:
+        # The slack absorbs binary representation error in (stop-start)/step.
+        return (self.stop - self.start) / self.step + 1e-6
+
     def grid(self) -> list[float]:
-        # The slack absorbs binary representation error in (stop-start)/step;
-        # the clamp keeps the last point from drifting past stop.
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-6)) + 1
+        # The clamp keeps the last point from drifting past stop.
+        count = int(math.floor(self._steps())) + 1
         return [min(self.start + i * self.step, self.stop) for i in range(count)]
 
 
@@ -152,6 +167,8 @@ def capacity_table(
     """Node counts sustaining intensity ``alpha`` per SF under the tabulated duty cycles."""
     rows = []
     for alpha in alphas:
+        if not math.isfinite(alpha):
+            raise ValueError(f"alphas must be finite, got {alpha}")
         if alpha <= 0:
             raise ValueError(f"alphas must be positive, got {alpha}")
         nodes = tuple(nodes_from_alpha(alpha, row.duty_cycle) for row in sf_table)
@@ -165,46 +182,49 @@ def find_alpha_for_target(
     cfg: NetworkConfig,
     with_sic: bool,
     alpha_max: float = 10.0,
-    tol: float = 1e-4,
 ) -> float:
     """Largest intensity whose coverage probability still meets ``target``.
 
-    Bisects the (verified monotone) objective c1(alpha) or c1_sic(alpha) to
-    absolute tolerance ``tol``.  Raises :class:`InfeasibleTargetError` when
-    even a silent network misses the target, or when the target is still
-    exceeded at ``alpha_max``.
+    Inverts the closed form c(alpha) = h1 (e^(-alpha K1) + [SIC] alpha
+    e^(-alpha) K2), where K1 = kernel(1/gamma) and K2 = kernel(gamma) are the
+    two alpha-independent ring kernels; c(alpha) is the c1 (or c1_sic) that
+    :func:`coverage` reports.  Bisection runs until the bracket holds two
+    adjacent doubles, so the result is exact to double precision.
+
+    No monotonicity check is needed, for any capture threshold: with K1, K2
+    in [0, 1], e^alpha c'(alpha) / h1 = K2 (1 - alpha) - K1 e^(alpha (1 - K1))
+    decreases in alpha, so c rises at most once and then falls.  Below the
+    zero-load value c(0) = h1 the set {c >= target} is therefore an interval
+    [0, alpha*].  Raises :class:`InfeasibleTargetError` when even a silent
+    network misses the target, or when the target is still exceeded at
+    ``alpha_max``.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
+    op = _operating_point(d1, cfg)
+    h1 = math.exp(-op.demand)  # the zero-load coverage: no interference
+    if target > h1:
+        raise InfeasibleTargetError(
+            f"target {target} exceeds the zero-load coverage {h1:.6f} at d1={d1}"
+        )
+    if target == h1:
+        return 0.0
+    k1 = op.kernel(1.0 / op.gamma)
+    k2 = op.kernel(op.gamma) if with_sic else 0.0
 
     def objective(alpha: float) -> float:
-        breakdown = coverage(d1, cfg, alpha)
-        return breakdown.c1_sic if with_sic else breakdown.c1
+        return h1 * (math.exp(-alpha * k1) + alpha * math.exp(-alpha) * k2)
 
-    ceiling = objective(0.0)  # equals h1: no interference at zero load
-    if target > ceiling:
-        raise InfeasibleTargetError(
-            f"target {target} exceeds the zero-load coverage {ceiling:.6f} at d1={d1}"
-        )
-    if target == ceiling:
-        return 0.0
-
-    samples = [objective(alpha_max * i / 8) for i in range(9)]
-    if any(b > a + 1e-12 for a, b in zip(samples, samples[1:])):
-        raise ValueError(
-            "coverage objective is not monotone decreasing on the bracket; "
-            "refusing to bisect"
-        )
     if objective(alpha_max) > target:
         raise InfeasibleTargetError(
             f"objective still exceeds {target} at alpha_max={alpha_max}"
         )
-
     lo, hi = 0.0, alpha_max
-    while hi - lo > tol:
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
         if objective(mid) >= target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)

@@ -26,6 +26,8 @@ class RingLayout:
     def __post_init__(self) -> None:
         if len(self.boundaries) != len(self.sfs) + 1:
             raise ValueError("need exactly one more boundary than rings")
+        if not all(math.isfinite(b) for b in self.boundaries):
+            raise ValueError(f"boundaries must be finite, got {self.boundaries}")
         if self.boundaries[0] < 0:
             raise ValueError("innermost boundary must be nonnegative")
         for lo, hi in zip(self.boundaries, self.boundaries[1:]):
@@ -51,6 +53,8 @@ def default_layout(radius_m: float = 3000.0, n_rings: int = 6) -> RingLayout:
     """Equal-width rings spanning the disc, SF7 innermost through SF12."""
     if n_rings != 6:
         raise ValueError("the SF allocation defines exactly six rings")
+    if not math.isfinite(radius_m):
+        raise ValueError(f"radius_m must be finite, got {radius_m}")
     if radius_m <= 0:
         raise ValueError(f"radius_m must be positive, got {radius_m}")
     width = radius_m / n_rings
@@ -64,6 +68,8 @@ def ring_of(d: float, layout: RingLayout) -> int:
     A distance exactly on a shared boundary belongs to the inner of the two
     rings it separates; this tie-break is fixed for reproducibility.
     """
+    if math.isnan(d):
+        raise ValueError(f"distance must be a number, got {d}")
     if d <= 0:
         raise OutOfCoverageError(f"distance must be positive, got {d}")
     if d > layout.radius:
@@ -92,6 +98,8 @@ class TrafficModel:
     duty_cycles: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.n_bar):
+            raise ValueError(f"n_bar must be finite, got {self.n_bar}")
         if self.n_bar < 0:
             raise ValueError(f"n_bar must be nonnegative, got {self.n_bar}")
         for p in self.duty_cycles:
@@ -127,15 +135,3 @@ def nodes_from_alpha(alpha: float, duty_cycle: float) -> int:
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     return int(math.floor(alpha / (2.0 * duty_cycle) + 0.5))
-
-
-def sample_distance_in_ring(ring: int, layout: RingLayout, u: float) -> float:
-    """Inverse-CDF sample of the ring distance density 2d/(l_hi^2 - l_lo^2).
-
-    ``u`` is a uniform(0,1) variate supplied by the caller; the module holds
-    no randomness state.  u=0 maps to the inner boundary, u=1 to the outer.
-    """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"u must lie in [0, 1], got {u}")
-    lo, hi = layout.bounds(ring)
-    return math.sqrt(lo * lo + u * (hi * hi - lo * lo))

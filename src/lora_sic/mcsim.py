@@ -10,16 +10,14 @@ ring intensity, so no packet timeline is simulated.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import NetworkConfig
-from .geometry import ring_of
-from .params import DEFAULT_SEED, db_to_linear
+from .analytic import NetworkConfig, _operating_point, _OperatingPoint
+from .params import DEFAULT_SEED
 
-#: Trials per chunk; fixed so estimates are independent of worker count.
+#: Trials per chunk; fixed so a seed always yields the same chunk streams.
 CHUNK_TRIALS = 1 << 14
 
 #: Poisson inversion is tabulated only up to this intensity.
@@ -74,8 +72,7 @@ def _poisson_cdf(alpha: float) -> np.ndarray:
 
 
 def _outcome_counts(
-    d1: float,
-    cfg: NetworkConfig,
+    op: _OperatingPoint,
     k: np.ndarray,
     u_fade: np.ndarray,
     u_dist: np.ndarray,
@@ -85,11 +82,14 @@ def _outcome_counts(
 
     ``k`` and ``u_fade`` (reference fading) hold one entry per trial;
     ``u_dist`` and ``u_int_fade`` hold one entry per interferer, trial by
-    trial, so their length is ``k.sum()``.  Fading powers are -ln(1-u),
-    distances follow the ring's inverse CDF.
+    trial, so their length is ``k.sum()``.  Fading powers are -ln(1-u).
+    Powers are in units of the reference node's mean received power (see
+    ``op``), so an interferer whose squared distance follows the ring's
+    inverse CDF, D^2 = l_lo^2 + u (l_hi^2 - l_lo^2), arrives with power
+    h_i (d1^2 / D^2)^(eta/2).
 
-    * connected  -- reference power above the ring's SNR threshold over noise
-    * captured   -- reference power at least gamma times the interference sum
+    * connected  -- reference fading at least the noise demand
+    * captured   -- reference fading at least gamma times the interference sum
                     (vacuously true with no interferers)
     * sic        -- exactly one interferer, it beats the reference by gamma,
                     and both signals individually sit above the noise demand
@@ -97,34 +97,23 @@ def _outcome_counts(
     Returns the counts [trials, connected, captured, success_c1,
     success_c1_sic, collisions, singles, captured-and-sic overlap].
     """
-    ring = ring_of(d1, cfg.layout)
-    l_lo, l_hi = cfg.layout.bounds(ring)
-    gamma = cfg.radio.capture_threshold
-    noise_demand = cfg.radio.noise_power_mw * db_to_linear(
-        cfg.sf_for_ring(ring).snr_threshold_db
-    )
-    tx_mw = cfg.radio.tx_power_mw
-    eta = cfg.radio.path_loss_exp
-    coeff = cfg.radio.wavelength_m / (4.0 * math.pi)
-
     n = len(k)
-    h1 = -np.log1p(-u_fade)
+    h = -np.log1p(-u_fade)
     h_int = -np.log1p(-u_int_fade)
-    dist = np.sqrt(l_lo * l_lo + u_dist * (l_hi * l_hi - l_lo * l_lo))
-    g1 = tx_mw * h1 * (coeff / d1) ** eta
-    with np.errstate(divide="ignore"):
-        g_int = tx_mw * h_int * (coeff / dist) ** eta
+    lo2 = op.l_lo * op.l_lo
+    with np.errstate(divide="ignore"):  # (d1 / D)^eta, infinite at D = 0
+        rel_gain = (op.d1 * op.d1 / (lo2 + u_dist * (op.l_hi * op.l_hi - lo2))) ** (op.eta / 2)
     owner = np.repeat(np.arange(n), k)
-    interference = np.bincount(owner, weights=g_int, minlength=n)
+    interference = np.bincount(owner, weights=h_int * rel_gain, minlength=n)
 
-    connected = g1 >= noise_demand
-    captured = (k == 0) | (g1 >= gamma * interference)
-    # With k == 1 the interference sum is exactly the lone interferer's gain.
+    connected = h >= op.demand
+    captured = (k == 0) | (h >= op.gamma * interference)
+    # With k == 1 the interference sum is exactly the lone interferer's power.
     sic = (
         (k == 1)
-        & (interference >= gamma * g1)
-        & (interference >= noise_demand)
-        & (g1 >= noise_demand)
+        & (interference >= op.gamma * h)
+        & (interference >= op.demand)
+        & connected
     )
     success_c1 = connected & captured
     success_sic = connected & (captured | sic)
@@ -143,9 +132,7 @@ def _outcome_counts(
     )
 
 
-def _chunk_counts(
-    d1: float, cfg: NetworkConfig, cdf: np.ndarray, n: int, chunk_seed: int
-) -> np.ndarray:
+def _chunk_counts(op: _OperatingPoint, cdf: np.ndarray, n: int, chunk_seed: int) -> np.ndarray:
     """Outcome counts over one chunk of n trials drawn from its own stream.
 
     Draw order: interferer counts (Poisson by CDF inversion), reference
@@ -156,7 +143,7 @@ def _chunk_counts(
     u_fade = rng.random(n)
     total = int(k.sum())
     u_dist = rng.random(total)
-    return _outcome_counts(d1, cfg, k, u_fade, u_dist, rng.random(total))
+    return _outcome_counts(op, k, u_fade, u_dist, rng.random(total))
 
 
 def _estimate_from(successes: int, trials: int) -> McEstimate:
@@ -176,43 +163,33 @@ def estimate(
     alpha_i: float,
     n_trials: int,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> McReport:
     """Estimate all outcome proportions over ``n_trials`` receptions.
 
-    Deterministic for a given seed regardless of ``workers``: trials are cut
-    into fixed chunks of :data:`CHUNK_TRIALS`, each driven by its own stream
-    keyed by ``derive_seed(seed, chunk_index)``, and integer counts are merged
-    in chunk order.
+    Deterministic for a given seed: trials are cut into fixed chunks of
+    :data:`CHUNK_TRIALS`, each driven by its own stream keyed by
+    ``derive_seed(seed, chunk_index)``, and integer counts are merged in
+    chunk order.
 
     The single-interferer estimate conditions on collision trials, so its
     ``trials`` field is the collision count (NaN mean if none occurred).
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    ring_of(d1, cfg.layout)  # validate coverage up front
+    op = _operating_point(d1, cfg)  # validates coverage up front
     cdf = _poisson_cdf(alpha_i)
-
-    sizes = [
-        min(CHUNK_TRIALS, n_trials - start)
-        for start in range(0, n_trials, CHUNK_TRIALS)
-    ]
-
-    def one(index_size: tuple[int, int]) -> np.ndarray:
-        index, size = index_size
-        return _chunk_counts(d1, cfg, cdf, size, derive_seed(seed, index))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, enumerate(sizes)))
-    else:
-        parts = [one(item) for item in enumerate(sizes)]
-    counts = np.sum(parts, axis=0)
+    counts = np.sum(
+        [
+            _chunk_counts(op, cdf, min(CHUNK_TRIALS, n_trials - start), derive_seed(seed, index))
+            for index, start in enumerate(range(0, n_trials, CHUNK_TRIALS))
+        ],
+        axis=0,
+    )
 
     n, connected, captured, c1, c1_sic, collisions, singles, overlap = (
         int(v) for v in counts
     )
-    if overlap and cfg.radio.capture_threshold > 1.0:
+    if overlap and op.gamma > 1.0:
         raise AssertionError(
             "captured and sic_decoded overlapped despite a capture threshold "
             "above 0 dB; the model guarantees these events are disjoint"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 # Message generation period behind the tabulated duty cycles: 15 minutes.
 MESSAGE_PERIOD_MS = 15 * 60 * 1000.0
@@ -59,6 +59,10 @@ class RadioConfig:
     capture_threshold_db: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.carrier_hz <= 0:
             raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
         if self.bandwidth_hz <= 0:

@@ -14,8 +14,8 @@ from lora_sic.analytic import (
     single_interferer_given_collision,
     with_capture_threshold,
 )
-from lora_sic.experiments import SweepSpec, sweep
-from lora_sic.geometry import OutOfCoverageError, default_layout, uniform_traffic
+from lora_sic.experiments import SweepSpec, capacity_table, sweep
+from lora_sic.geometry import OutOfCoverageError, default_layout, ring_of, uniform_traffic
 from lora_sic.params import RadioConfig, db_to_linear, default_sf_table, linear_to_db
 from lora_sic.specfun import hyp2f1_1b
 from quadrature import q2_integral_quadrature
@@ -36,6 +36,30 @@ def test_config_rejects_mismatched_sf_table(cfg):
             sf_table=default_sf_table()[:5],
             traffic=uniform_traffic(0.0),
         )
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda cfg: ring_of(math.nan, cfg.layout), "distance"),
+        (lambda cfg: coverage(math.nan, cfg, 1.0), "distance"),
+        (lambda cfg: coverage(3000.0, cfg, math.inf), "alpha_i"),
+        (lambda cfg: capture_probability(3000.0, cfg, math.nan), "alpha_i"),
+        (lambda cfg: sic_capture_probability(3000.0, cfg, math.inf), "alpha_i"),
+        (lambda cfg: capacity_table([0.2, math.nan], cfg.sf_table), "alphas"),
+        (lambda cfg: default_config(capture_threshold_db=math.nan), "capture_threshold_db"),
+        (lambda cfg: default_config(tx_power_dbm=math.inf), "tx_power_dbm"),
+        (lambda cfg: default_config(nbar=math.nan), "n_bar"),
+        (lambda cfg: default_config(radius_m=math.inf), "radius_m"),
+    ],
+    ids=[
+        "ring_of-nan", "coverage-d1-nan", "coverage-alpha-inf", "capture-alpha-nan",
+        "sic-alpha-inf", "capacity-nan", "gamma-nan", "tx-inf", "nbar-nan", "radius-inf",
+    ],
+)
+def test_non_finite_library_input_is_named(cfg, call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be (finite|a number)"):
+        call(cfg)
 
 
 def test_wavelength_anchor(cfg):

@@ -239,3 +239,12 @@ def test_numbers_printed_with_ten_significant_digits(capsys):
     row = out.strip().splitlines()[1].split(",")
     assert row[1] == "0.9041341309"
     assert row[2] == "0.5407497421"
+
+
+def test_sweep_step_too_small_is_refused_before_the_grid_is_built(capsys):
+    code, out, err = _run(
+        capsys, ["sweep", "--var", "d1", "--start", "100", "--stop", "3000", "--step", "1e-9"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: a grid from 100.0 to 3000.0 by 1e-09 would exceed 1000000 points\n"

@@ -2,8 +2,15 @@ import math
 
 import pytest
 
-from lora_sic.analytic import coverage, default_config
+from lora_sic.analytic import (
+    capture_probability,
+    connection_probability,
+    coverage,
+    default_config,
+    sic_capture_probability,
+)
 from lora_sic.experiments import (
+    MAX_SWEEP_POINTS,
     InfeasibleTargetError,
     SweepSpec,
     capacity_table,
@@ -45,6 +52,51 @@ def test_find_alpha_with_sic(cfg):
     alpha = find_alpha_for_target(0.8, 3000.0, cfg, with_sic=True)
     assert alpha == pytest.approx(0.50958, abs=2e-4)
     assert coverage(3000.0, cfg, alpha).c1_sic == pytest.approx(0.8, abs=1e-4)
+
+
+@pytest.mark.parametrize("with_sic", [False, True])
+@pytest.mark.parametrize("gamma_db", [-6.0, 0.0, 1.0, 6.0])
+def test_find_alpha_meets_target_to_double_precision(gamma_db, with_sic):
+    cfg_g = default_config(capture_threshold_db=gamma_db)
+    for d1 in (250.0, 750.0, 1250.0, 1750.0, 2250.0, 2750.0):  # one per ring
+        for target in (0.3, 0.6, 0.85):
+            alpha = find_alpha_for_target(target, d1, cfg_g, with_sic=with_sic)
+            assert alpha > 0.0
+            if with_sic:
+                reached = coverage(d1, cfg_g, alpha).c1_sic
+            elif gamma_db >= 0.0:
+                reached = coverage(d1, cfg_g, alpha).c1
+            else:
+                # Below 0 dB, c1_sic = h1 (q1 + q2) can pass one there, which
+                # CoverageBreakdown refuses; c1 is the same product h1 q1.
+                reached = connection_probability(d1, cfg_g) * capture_probability(
+                    d1, cfg_g, alpha
+                )
+            assert reached == pytest.approx(target, rel=1e-12, abs=0.0)
+
+
+def test_find_alpha_answers_when_sic_coverage_first_rises():
+    # Below 0 dB one interferer is decodable more often than it is
+    # suppressed (K2 > K1), so c1_sic rises from h1 before it falls.
+    # There c1_sic can even pass one (the q1 + q2 > 1 caveat), so it is
+    # assembled from the public factors instead of read off coverage().
+    cfg_g = default_config(capture_threshold_db=-6.0)
+
+    def c1_sic(alpha):
+        return connection_probability(3000.0, cfg_g) * (
+            capture_probability(3000.0, cfg_g, alpha)
+            + sic_capture_probability(3000.0, cfg_g, alpha)
+        )
+
+    assert c1_sic(0.5) > c1_sic(0.0)
+    alpha = find_alpha_for_target(0.8, 3000.0, cfg_g, with_sic=True)
+    assert alpha > 1.0
+    assert coverage(3000.0, cfg_g, alpha).c1_sic == pytest.approx(0.8, rel=1e-12, abs=0.0)
+
+
+def test_find_alpha_beyond_alpha_max(cfg):
+    with pytest.raises(InfeasibleTargetError, match="alpha_max=0.1"):
+        find_alpha_for_target(0.8, 3000.0, cfg, with_sic=False, alpha_max=0.1)
 
 
 def test_find_alpha_infeasible_target(cfg):
@@ -143,6 +195,25 @@ def test_sweep_spec_validation():
         SweepSpec(variable="alpha", start=1.0, stop=0.0, step=0.1)
     with pytest.raises(ValueError):
         SweepSpec(variable="d1", start=0.0, stop=1.0, step=0.1, alpha=1.0, nbar=10.0)
+
+
+@pytest.mark.parametrize("field", ["start", "stop", "step", "d1", "alpha", "nbar"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_sweep_spec_rejects_non_finite_fields(field, value):
+    fields = dict(variable="d1", start=100.0, stop=3000.0, step=100.0, alpha=None)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SweepSpec(**fields)
+
+
+def test_sweep_spec_caps_the_grid_before_building_it():
+    # Only the constructor runs here: grid() on the refused specs would try
+    # to allocate far more points than any host holds.
+    at_cap = SweepSpec(variable="alpha", start=0.0, stop=MAX_SWEEP_POINTS - 1.0, step=1.0)
+    assert at_cap.stop == MAX_SWEEP_POINTS - 1.0
+    for step in (0.5, 1e-9, 1e-300):
+        with pytest.raises(ValueError, match=f"exceed {MAX_SWEEP_POINTS} points"):
+            SweepSpec(variable="alpha", start=0.0, stop=MAX_SWEEP_POINTS - 1.0, step=step)
 
 
 def test_sweep_out_of_coverage_grid_raises(cfg):

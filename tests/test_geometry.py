@@ -1,10 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy import stats
 
 from lora_sic.geometry import (
     OutOfCoverageError,
@@ -14,7 +12,6 @@ from lora_sic.geometry import (
     nodes_from_alpha,
     ring_area,
     ring_of,
-    sample_distance_in_ring,
     uniform_traffic,
 )
 
@@ -136,48 +133,6 @@ def test_nodes_from_alpha_inverts_intensity(n_bar, ring):
     tol = 1e-9 * (n_ring + 1.0)
     assume(tol < frac < 1.0 - tol)
     assert nodes_from_alpha(alpha, 0.01) == int(math.floor(n_ring + 0.5))
-
-
-def test_sample_distance_endpoints():
-    assert sample_distance_in_ring(3, LAYOUT, 0.0) == 1000.0
-    assert sample_distance_in_ring(3, LAYOUT, 1.0) == 1500.0
-
-
-def test_sample_distance_median_point():
-    assert sample_distance_in_ring(3, LAYOUT, 0.5) == pytest.approx(1274.7548783982, abs=1e-6)
-
-
-def test_sample_distance_rejects_bad_u():
-    with pytest.raises(ValueError):
-        sample_distance_in_ring(3, LAYOUT, -0.01)
-    with pytest.raises(ValueError):
-        sample_distance_in_ring(3, LAYOUT, 1.01)
-
-
-@given(
-    u=st.floats(min_value=0.0, max_value=1.0),
-    ring=st.integers(min_value=1, max_value=6),
-)
-def test_sample_distance_stays_in_ring(u, ring):
-    lo, hi = LAYOUT.bounds(ring)
-    d = sample_distance_in_ring(ring, LAYOUT, u)
-    assert lo <= d <= hi
-
-
-def test_sample_distance_matches_density():
-    """1e6 inverse-CDF samples pass a chi-square test against 2d/(hi^2-lo^2)."""
-    rng = np.random.Generator(np.random.PCG64(2024))
-    ring = 6
-    lo, hi = LAYOUT.bounds(ring)
-    samples = np.array(
-        [sample_distance_in_ring(ring, LAYOUT, u) for u in rng.random(1_000_000)]
-    )
-    n_bins = 50
-    # Equal-probability bin edges from the distribution's own inverse CDF.
-    edges = np.sqrt(lo**2 + np.linspace(0.0, 1.0, n_bins + 1) * (hi**2 - lo**2))
-    counts, _ = np.histogram(samples, bins=edges)
-    result = stats.chisquare(counts)
-    assert result.pvalue > 0.01
 
 
 def test_traffic_rejects_negative_population():

@@ -1,0 +1,27 @@
+"""Golden bytes of the command line: stdout, stderr and exit status.
+
+``golden_cli.json`` holds one record per argv.  Every record except the
+``plan`` ones was taken from the release before ``plan`` became an exact
+inversion, so any change to the analytic or Monte Carlo numbers, the CSV
+formatting or an error message shows here.  The ``plan`` records hold the
+exact roots; at ``gamma_db=-6`` the old bisection could not answer at all
+(its coverage calls refused c1_sic > 1, its sampled guard a rising
+objective).  Change a record only for an intended output change, and say
+which and why in CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from lora_sic.cli import main
+
+CASES = json.loads((Path(__file__).with_name("golden_cli.json")).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_cli_output_matches_golden_bytes(case, capsys):
+    status = main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (out, err, status) == (case["stdout"], case["stderr"], case["status"])

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lora_sic.analytic import coverage, default_config
-from lora_sic.mcsim import (
-    CHUNK_TRIALS,
-    DEFAULT_SEED,
-    _outcome_counts,
-    derive_seed,
-    estimate,
-)
+from lora_sic.analytic import _operating_point, coverage, default_config
+from lora_sic.mcsim import CHUNK_TRIALS, _outcome_counts, derive_seed, estimate
 
 _COUNT_NAMES = (
     "trials", "connected", "captured", "success_c1", "success_c1_sic",
@@ -23,11 +17,10 @@ def _u_exp(x):
     return -math.expm1(-x)
 
 
-def _score(cfg, d1, k, u_fade, u_dist=(), u_int_fade=()):
-    """Named outcome counts of hand-built trials."""
+def _score(op, k, u_fade, u_dist=(), u_int_fade=()):
+    """Named outcome counts of hand-built trials at operating point ``op``."""
     counts = _outcome_counts(
-        d1,
-        cfg,
+        op,
         np.asarray(k, dtype=np.intp),
         np.asarray(u_fade, dtype=float),
         np.asarray(u_dist, dtype=float),
@@ -38,26 +31,27 @@ def _score(cfg, d1, k, u_fade, u_dist=(), u_int_fade=()):
 
 def test_forced_interference_free_trial(cfg):
     # K=0 with unit fading close to the gateway clears every threshold.
-    out = _score(cfg, 100.0, [0], [_u_exp(1.0)])
+    out = _score(_operating_point(100.0, cfg), [0], [_u_exp(1.0)])
     assert out == dict(
         trials=1, connected=1, captured=1, success_c1=1, success_c1_sic=1,
         collisions=0, singles=0, overlap=0,
     )
 
 
-def test_forced_interference_free_trial_captured_at_infinite_threshold():
+def test_forced_interference_free_trial_captured_at_infinite_threshold(cfg):
     # With no interferer the SIR is unbounded, so capture holds at any
-    # threshold; the comparison g1 >= gamma * 0 alone fails at gamma = inf.
-    cfg = default_config(capture_threshold_db=math.inf)
+    # threshold; the comparison h >= gamma * 0 alone fails at gamma = inf.
+    # RadioConfig only takes finite thresholds, so gamma enters through op.
+    op = _operating_point(100.0, cfg)._replace(gamma=math.inf)
     with np.errstate(invalid="ignore"):
-        out = _score(cfg, 100.0, [0], [_u_exp(1.0)])
+        out = _score(op, [0], [_u_exp(1.0)])
     assert out["captured"] == out["success_c1"] == 1
 
 
 def test_forced_dominant_interferer_is_sic_decoded(cfg):
     # K=1, reference fading 1, interferer at the same radius (u=0.04 in the
     # 0-500 m ring) with 20x the fading power: not captured, but SIC decodes.
-    out = _score(cfg, 100.0, [1], [_u_exp(1.0)], [0.04], [_u_exp(20.0)])
+    out = _score(_operating_point(100.0, cfg), [1], [_u_exp(1.0)], [0.04], [_u_exp(20.0)])
     assert out == dict(
         trials=1, connected=1, captured=0, success_c1=0, success_c1_sic=1,
         collisions=1, singles=1, overlap=0,
@@ -66,7 +60,8 @@ def test_forced_dominant_interferer_is_sic_decoded(cfg):
 
 def test_forced_two_interferers_never_sic_decoded(cfg):
     # K=2 regardless of how dominant either interferer is.
-    out = _score(cfg, 100.0, [2], [_u_exp(1.0)], [0.04, 0.9], [_u_exp(30.0), _u_exp(30.0)])
+    op = _operating_point(100.0, cfg)
+    out = _score(op, [2], [_u_exp(1.0)], [0.04, 0.9], [_u_exp(30.0), _u_exp(30.0)])
     assert out == dict(
         trials=1, connected=1, captured=0, success_c1=0, success_c1_sic=0,
         collisions=1, singles=0, overlap=0,
@@ -78,7 +73,8 @@ def test_outcome_counts_invariants_on_random_batch(cfg):
     n = 5000
     k = rng.poisson(1.5, n)
     total = int(k.sum())
-    out = _score(cfg, 2700.0, k, rng.random(n), rng.random(total), rng.random(total))
+    op = _operating_point(2700.0, cfg)
+    out = _score(op, k, rng.random(n), rng.random(total), rng.random(total))
     assert out["trials"] == n
     assert out["success_c1"] <= out["success_c1_sic"] <= out["connected"]
     assert out["success_c1"] <= out["captured"]
@@ -124,12 +120,6 @@ def test_zero_intensity_success_equals_connection(cfg):
     assert math.isnan(report.single_interferer_given_collision.mean)
 
 
-def test_estimate_is_deterministic_across_worker_counts(cfg):
-    lone = estimate(3000.0, cfg, 1.0, 3 * CHUNK_TRIALS + 17, seed=DEFAULT_SEED, workers=1)
-    pooled = estimate(3000.0, cfg, 1.0, 3 * CHUNK_TRIALS + 17, seed=DEFAULT_SEED, workers=4)
-    assert lone == pooled
-
-
 def test_estimate_varies_with_seed(cfg):
     a = estimate(3000.0, cfg, 1.0, 10_000, seed=1)
     b = estimate(3000.0, cfg, 1.0, 10_000, seed=2)
@@ -159,6 +149,8 @@ def test_estimate_rejects_bad_arguments(cfg):
         estimate(3000.0, cfg, -0.5, 100)
     with pytest.raises(ValueError):
         estimate(3000.0, cfg, math.nan, 100)
+    with pytest.raises(ValueError, match="^distance must be a number"):
+        estimate(math.nan, cfg, 1.0, 100)
 
 
 def test_derive_seed_spreads_indices():
