@@ -88,6 +88,8 @@ def _outcome_counts(
     inverse CDF, D^2 = l_lo^2 + u (l_hi^2 - l_lo^2), arrives with power
     h_i (d1^2 / D^2)^(eta/2).
 
+    The three variate arrays are overwritten with intermediate values.
+
     * connected  -- reference fading at least the noise demand
     * captured   -- reference fading at least gamma times the interference sum
                     (vacuously true with no interferers)
@@ -97,14 +99,22 @@ def _outcome_counts(
     Returns the counts [trials, connected, captured, success_c1,
     success_c1_sic, collisions, singles, captured-and-sic overlap].
     """
+    # The variates are transformed in place, so no float temporary per
+    # interferer is allocated; the arithmetic matches the out-of-place
+    # -log1p(-u) and (d1^2 / (lo^2 + u (hi^2 - lo^2)))^(eta/2) exactly.
     n = len(k)
-    h = -np.log1p(-u_fade)
-    h_int = -np.log1p(-u_int_fade)
+    h = _exp_fading(u_fade)
+    h_int = _exp_fading(u_int_fade)
     lo2 = op.l_lo * op.l_lo
+    rel_gain = u_dist
+    rel_gain *= op.l_hi * op.l_hi - lo2
+    rel_gain += lo2
     with np.errstate(divide="ignore"):  # (d1 / D)^eta, infinite at D = 0
-        rel_gain = (op.d1 * op.d1 / (lo2 + u_dist * (op.l_hi * op.l_hi - lo2))) ** (op.eta / 2)
+        np.divide(op.d1 * op.d1, rel_gain, out=rel_gain)
+    rel_gain **= op.eta / 2
+    weights = np.multiply(h_int, rel_gain, out=h_int)
     owner = np.repeat(np.arange(n), k)
-    interference = np.bincount(owner, weights=h_int * rel_gain, minlength=n)
+    interference = np.bincount(owner, weights=weights, minlength=n)
 
     connected = h >= op.demand
     captured = (k == 0) | (h >= op.gamma * interference)
@@ -132,18 +142,52 @@ def _outcome_counts(
     )
 
 
-def _chunk_counts(op: _OperatingPoint, cdf: np.ndarray, n: int, chunk_seed: int) -> np.ndarray:
+def _exp_fading(u: np.ndarray) -> np.ndarray:
+    """Unit-mean exponential fading powers -ln(1-u), computed in place."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
+
+
+class _Scratch:
+    """Buffers that the chunks of one estimate draw their variates into.
+
+    Fresh per-chunk arrays of a megabyte or more would let the allocator
+    return memory to the kernel and fault it back in chunk after chunk, at
+    a cost that depends on the process's allocation history.
+    """
+
+    __slots__ = ("trial", "variates")
+
+    def __init__(self, n: int) -> None:
+        self.trial = np.empty(n)
+        self.variates = np.empty((2, 0))
+
+    def interferers(self, total: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of length ``total`` for the distance and fading variates."""
+        if total > self.variates.shape[1]:
+            # Headroom of 1/8 covers the chunk-to-chunk spread of total
+            # (standard deviation sqrt(total)) once the first chunk has sized it.
+            self.variates = np.empty((2, total + total // 8 + 1024))
+        return self.variates[0, :total], self.variates[1, :total]
+
+
+def _chunk_counts(
+    op: _OperatingPoint, cdf: np.ndarray, n: int, chunk_seed: int, scratch: _Scratch
+) -> np.ndarray:
     """Outcome counts over one chunk of n trials drawn from its own stream.
 
     Draw order: interferer counts (Poisson by CDF inversion), reference
     fadings, all interferer distances, all interferer fadings.
     """
     rng = np.random.Generator(np.random.PCG64(chunk_seed))
-    k = np.searchsorted(cdf, rng.random(n), side="left")
-    u_fade = rng.random(n)
-    total = int(k.sum())
-    u_dist = rng.random(total)
-    return _outcome_counts(op, k, u_fade, u_dist, rng.random(total))
+    u = scratch.trial[:n]
+    k = np.searchsorted(cdf, rng.random(out=u), side="left")
+    u_fade = rng.random(out=u)
+    u_dist, u_int_fade = scratch.interferers(int(k.sum()))
+    rng.random(out=u_dist)
+    rng.random(out=u_int_fade)
+    return _outcome_counts(op, k, u_fade, u_dist, u_int_fade)
 
 
 def _estimate_from(successes: int, trials: int) -> McEstimate:
@@ -178,13 +222,11 @@ def estimate(
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     op = _operating_point(d1, cfg)  # validates coverage up front
     cdf = _poisson_cdf(alpha_i)
-    counts = np.sum(
-        [
-            _chunk_counts(op, cdf, min(CHUNK_TRIALS, n_trials - start), derive_seed(seed, index))
-            for index, start in enumerate(range(0, n_trials, CHUNK_TRIALS))
-        ],
-        axis=0,
-    )
+    scratch = _Scratch(min(CHUNK_TRIALS, n_trials))
+    counts = np.zeros(8, dtype=np.int64)
+    for index, start in enumerate(range(0, n_trials, CHUNK_TRIALS)):
+        size = min(CHUNK_TRIALS, n_trials - start)
+        counts += _chunk_counts(op, cdf, size, derive_seed(seed, index), scratch)
 
     n, connected, captured, c1, c1_sic, collisions, singles, overlap = (
         int(v) for v in counts
