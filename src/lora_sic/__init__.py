@@ -37,7 +37,6 @@ from .geometry import (
     nodes_from_alpha,
     ring_area,
     ring_of,
-    uniform_traffic,
 )
 from .params import (
     DEFAULT_SEED,
@@ -92,7 +91,6 @@ __all__ = [
     "sic_capture_probability",
     "single_interferer_given_collision",
     "sweep",
-    "uniform_traffic",
     "with_capture_threshold",
 ]
 

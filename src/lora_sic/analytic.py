@@ -16,14 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .geometry import (
-    RingLayout,
-    TrafficModel,
-    default_layout,
-    interferer_intensity,
-    ring_of,
-    uniform_traffic,
-)
+from .geometry import RingLayout, TrafficModel, default_layout, ring_of
 from .params import RadioConfig, SfParams, db_to_linear, default_sf_table
 from .specfun import hyp2f1_1b
 
@@ -40,14 +33,6 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if len(self.sf_table) != self.layout.n_rings:
             raise ValueError("sf_table must hold one row per ring")
-        table_sfs = tuple(row.sf for row in self.sf_table)
-        if table_sfs != self.layout.sfs:
-            raise ValueError(
-                f"layout SF allocation {self.layout.sfs} does not match "
-                f"sf_table rows {table_sfs}"
-            )
-        if len(self.traffic.duty_cycles) != self.layout.n_rings:
-            raise ValueError("traffic must hold one duty cycle per ring")
 
     def sf_for_ring(self, ring: int) -> SfParams:
         return self.sf_table[ring - 1]
@@ -64,12 +49,11 @@ def default_config(
     ``radio_overrides`` are forwarded to :class:`RadioConfig` (e.g.
     ``capture_threshold_db=6``).
     """
-    layout = default_layout(radius_m=radius_m)
     return NetworkConfig(
+        layout=default_layout(radius_m=radius_m),
         radio=RadioConfig(**radio_overrides),
-        layout=layout,
         sf_table=default_sf_table(),
-        traffic=uniform_traffic(nbar, duty_cycle, layout.n_rings),
+        traffic=TrafficModel(n_bar=nbar, duty_cycle=duty_cycle),
     )
 
 
@@ -212,15 +196,13 @@ def sic_capture_probability(d1: float, cfg: NetworkConfig, alpha_i: float) -> fl
     return _q2(op, alpha_i)
 
 
-def coverage(d1: float, cfg: NetworkConfig, alpha_i: float | None = None) -> CoverageBreakdown:
-    """Full probability breakdown at one operating point.
+def coverage(d1: float, cfg: NetworkConfig, alpha_i: float) -> CoverageBreakdown:
+    """Full probability breakdown at one operating point and intensity.
 
-    ``alpha_i`` may be given explicitly; otherwise it is derived from the
-    scenario's traffic model for the ring containing ``d1``.
+    :func:`lora_sic.experiments.resolve_intensity` derives ``alpha_i`` from
+    the scenario's traffic model when no intensity is given.
     """
     op = _operating_point(d1, cfg)
-    if alpha_i is None:
-        alpha_i = interferer_intensity(op.ring, cfg.traffic, cfg.layout)
     _check_intensity(alpha_i)
     h1 = math.exp(-op.demand)
     q1 = _q1(op, alpha_i)

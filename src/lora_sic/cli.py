@@ -132,23 +132,6 @@ def _write_csv(out: IO[str], header: Sequence[str], rows: Sequence[Sequence[obje
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _fixed_alpha(cfg: NetworkConfig, args: argparse.Namespace) -> tuple[float | None, float | None]:
-    """Resolve the (alpha, nbar) pinning for coverage and sweeps.
-
-    Priority: explicit --alpha, then explicit --nbar, then a configured
-    nbar, then the documented default alpha = 1.
-    """
-    alpha = getattr(args, "alpha", None)
-    nbar = getattr(args, "nbar", None)
-    if alpha is not None:
-        return alpha, None
-    if nbar is not None:
-        return None, nbar
-    if cfg.traffic.n_bar > 0:
-        return None, cfg.traffic.n_bar
-    return 1.0, None
-
-
 _SWEEP_HEADER = ["x", "h1", "q1", "q2", "c1", "c1_sic"]
 _MC_HEADER = ["mc_c1", "mc_c1_ci95", "mc_c1_sic", "mc_c1_sic_ci95"]
 
@@ -175,27 +158,23 @@ def _cmd_table1(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> i
 
 
 def _cmd_coverage(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
-    alpha, nbar = _fixed_alpha(cfg, args)
     spec = SweepSpec(
         variable="d1", start=args.d1, stop=args.d1, step=1.0,
-        d1=args.d1, alpha=alpha, nbar=nbar,
+        d1=args.d1, alpha=args.alpha, nbar=args.nbar,
     )
     _emit_sweep_rows(out, sweep(spec, cfg), with_mc=False)
     return 0
 
 
 def _cmd_sweep(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
-    alpha, nbar = _fixed_alpha(cfg, args)
-    if args.var == "alpha":
-        alpha, nbar = None, None
     spec = SweepSpec(
         variable=args.var,
         start=args.start,
         stop=args.stop,
         step=args.step,
         d1=args.d1,
-        alpha=alpha,
-        nbar=nbar,
+        alpha=args.alpha,
+        nbar=args.nbar,
         mc_trials=args.mc_trials,
         seed=args.seed,
     )
@@ -206,8 +185,7 @@ def _cmd_sweep(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> in
 def _cmd_mc(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
     from . import mcsim
 
-    alpha, nbar = _fixed_alpha(cfg, args)
-    alpha = resolve_intensity(cfg, args.d1, alpha, nbar)
+    alpha = resolve_intensity(cfg, args.d1, args.alpha, args.nbar)
     report = mcsim.estimate(args.d1, cfg, alpha, args.trials, seed=args.seed)
     header = ["outcome", "mean", "ci95_halfwidth", "trials"]
     rows = [

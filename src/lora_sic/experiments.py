@@ -6,10 +6,10 @@ import math
 from dataclasses import dataclass, replace
 
 from .analytic import NetworkConfig, _operating_point, coverage, with_capture_threshold
-from .geometry import interferer_intensity, nodes_from_alpha, ring_of, uniform_traffic
+from .geometry import interferer_intensity, nodes_from_alpha, ring_of
 from .params import DEFAULT_SEED, SfParams
 
-SWEEP_VARIABLES = ("d1", "alpha", "gamma_db", "nbar")
+SWEEP_VARIABLES = ("d1", "alpha", "gamma_db")
 
 #: Largest grid a sweep may build; a tiny step would otherwise exhaust memory.
 MAX_SWEEP_POINTS = 1_000_000
@@ -21,11 +21,11 @@ class InfeasibleTargetError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-dimensional grid over d1, alpha, gamma_db or nbar.
+    """One-dimensional grid over d1, alpha or gamma_db.
 
-    Non-swept parameters are pinned by ``d1`` and by exactly one of ``alpha``
-    or ``nbar`` (``nbar`` converts to per-ring intensities through the traffic
-    model).  ``mc_trials`` = 0 keeps the sweep purely analytic.
+    Non-swept parameters are pinned by ``d1`` and by at most one of ``alpha``
+    or ``nbar``; :func:`resolve_intensity` turns them into the intensity of
+    each point.  ``mc_trials`` = 0 keeps the sweep purely analytic.
     """
 
     variable: str
@@ -33,7 +33,7 @@ class SweepSpec:
     stop: float
     step: float
     d1: float = 3000.0
-    alpha: float | None = 1.0
+    alpha: float | None = None
     nbar: float | None = None
     mc_trials: int = 0
     seed: int = DEFAULT_SEED
@@ -88,18 +88,26 @@ class SweepRow:
 
 
 def resolve_intensity(
-    cfg: NetworkConfig, d1: float, alpha: float | None, nbar: float | None
+    cfg: NetworkConfig, d1: float, alpha: float | None = None, nbar: float | None = None
 ) -> float:
-    """Pin the interferer intensity for the ring containing ``d1``.
+    """The interferer intensity for the ring containing ``d1``.
 
-    An explicit ``alpha`` wins; otherwise ``nbar`` (or the scenario's own
-    traffic model) is pushed through the intensity formula.
+    The first of these that applies decides it:
+
+    1. an explicit ``alpha``;
+    2. an explicit ``nbar``, 0 included, pushed through the scenario's
+       traffic model;
+    3. the scenario's own ``n_bar``, when it is above 0, likewise;
+    4. otherwise alpha = 1.
     """
     if alpha is not None:
         return alpha
-    traffic = cfg.traffic
     if nbar is not None:
-        traffic = uniform_traffic(nbar, cfg.traffic.duty_cycles[0], cfg.layout.n_rings)
+        traffic = replace(cfg.traffic, n_bar=nbar)
+    elif cfg.traffic.n_bar > 0:
+        traffic = cfg.traffic
+    else:
+        return 1.0
     return interferer_intensity(ring_of(d1, cfg.layout), traffic, cfg.layout)
 
 
@@ -112,16 +120,14 @@ def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for index, x in enumerate(spec.grid()):
         point_cfg = cfg
-        d1, alpha, nbar = spec.d1, spec.alpha, spec.nbar
+        d1, alpha = spec.d1, spec.alpha
         if spec.variable == "d1":
             d1 = x
         elif spec.variable == "alpha":
-            alpha, nbar = x, None
-        elif spec.variable == "nbar":
-            alpha, nbar = None, x
+            alpha = x
         else:
             point_cfg = with_capture_threshold(cfg, x)
-        alpha_i = resolve_intensity(point_cfg, d1, alpha, nbar)
+        alpha_i = resolve_intensity(point_cfg, d1, alpha, spec.nbar)
         breakdown = coverage(d1, point_cfg, alpha_i)
         row = SweepRow(
             x=x,

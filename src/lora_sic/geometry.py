@@ -17,15 +17,14 @@ class RingLayout:
 
     ``boundaries`` holds the n+1 radii ``l0 <= l1 <= ... <= ln`` in meters
     (``l0`` is usually 0); ring ``i`` covers the half-open annulus
-    ``(l_{i-1}, l_i]``.  ``sfs`` maps each ring to its spreading factor.
+    ``(l_{i-1}, l_i]``.  Ring ``i`` uses row ``i`` of the scenario's SF table.
     """
 
     boundaries: tuple[float, ...]
-    sfs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.boundaries) != len(self.sfs) + 1:
-            raise ValueError("need exactly one more boundary than rings")
+        if len(self.boundaries) < 2:
+            raise ValueError("need at least two boundaries to bound one ring")
         if not all(math.isfinite(b) for b in self.boundaries):
             raise ValueError(f"boundaries must be finite, got {self.boundaries}")
         if self.boundaries[0] < 0:
@@ -36,7 +35,7 @@ class RingLayout:
 
     @property
     def n_rings(self) -> int:
-        return len(self.sfs)
+        return len(self.boundaries) - 1
 
     @property
     def radius(self) -> float:
@@ -49,17 +48,14 @@ class RingLayout:
         return self.boundaries[ring - 1], self.boundaries[ring]
 
 
-def default_layout(radius_m: float = 3000.0, n_rings: int = 6) -> RingLayout:
-    """Equal-width rings spanning the disc, SF7 innermost through SF12."""
-    if n_rings != 6:
-        raise ValueError("the SF allocation defines exactly six rings")
+def default_layout(radius_m: float = 3000.0) -> RingLayout:
+    """Six equal-width rings spanning the disc, one per SF from SF7 innermost to SF12."""
     if not math.isfinite(radius_m):
         raise ValueError(f"radius_m must be finite, got {radius_m}")
     if radius_m <= 0:
         raise ValueError(f"radius_m must be positive, got {radius_m}")
-    width = radius_m / n_rings
-    boundaries = tuple(i * width for i in range(n_rings + 1))
-    return RingLayout(boundaries=boundaries, sfs=tuple(range(7, 13)))
+    width = radius_m / 6
+    return RingLayout(boundaries=tuple(i * width for i in range(7)))
 
 
 def ring_of(d: float, layout: RingLayout) -> int:
@@ -92,27 +88,22 @@ def ring_area(ring: int, layout: RingLayout) -> float:
 
 @dataclass(frozen=True)
 class TrafficModel:
-    """Mean deployment size and per-ring duty cycles of the uplink traffic."""
+    """Mean deployment size and the duty cycle that every node transmits at."""
 
     n_bar: float
-    duty_cycles: tuple[float, ...]
+    duty_cycle: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.n_bar):
             raise ValueError(f"n_bar must be finite, got {self.n_bar}")
         if self.n_bar < 0:
             raise ValueError(f"n_bar must be nonnegative, got {self.n_bar}")
-        for p in self.duty_cycles:
-            if not 0 <= p < 1:
-                raise ValueError(f"duty cycles must lie in [0, 1), got {p}")
+        if not 0 <= self.duty_cycle < 1:
+            raise ValueError(f"duty cycles must lie in [0, 1), got {self.duty_cycle}")
 
     def density(self, layout: RingLayout) -> float:
         """Spatial node density in nodes per square meter."""
         return self.n_bar / (math.pi * layout.radius**2)
-
-
-def uniform_traffic(n_bar: float, duty_cycle: float = 0.01, n_rings: int = 6) -> TrafficModel:
-    return TrafficModel(n_bar=n_bar, duty_cycles=(duty_cycle,) * n_rings)
 
 
 def interferer_intensity(ring: int, traffic: TrafficModel, layout: RingLayout) -> float:
@@ -121,8 +112,7 @@ def interferer_intensity(ring: int, traffic: TrafficModel, layout: RingLayout) -
     The window spans two packet durations, hence the factor 2 on top of the
     duty-cycled mean ring population.
     """
-    p = traffic.duty_cycles[ring - 1]
-    return 2.0 * p * traffic.density(layout) * ring_area(ring, layout)
+    return 2.0 * traffic.duty_cycle * traffic.density(layout) * ring_area(ring, layout)
 
 
 def nodes_from_alpha(alpha: float, duty_cycle: float) -> int:

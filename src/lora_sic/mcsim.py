@@ -94,7 +94,14 @@ def _outcome_counts(
     * captured   -- reference fading at least gamma times the interference sum
                     (vacuously true with no interferers)
     * sic        -- exactly one interferer, it beats the reference by gamma,
-                    and both signals individually sit above the noise demand
+                    and the reference sits above the noise demand
+
+    The SIC path needs the interferer above the noise demand too, but no
+    clause checks it: for gamma >= 1 it follows from ``connected`` and
+    interference >= gamma * h, and for gamma < 1 a trial it would exclude
+    has gamma * interference < demand <= h, so it is captured anyway.
+    ``success_c1_sic`` is therefore the same either way; only the overlap
+    count, which no report shows, includes such trials below 0 dB.
 
     Returns the counts [trials, connected, captured, success_c1,
     success_c1_sic, collisions, singles, captured-and-sic overlap].
@@ -119,12 +126,7 @@ def _outcome_counts(
     connected = h >= op.demand
     captured = (k == 0) | (h >= op.gamma * interference)
     # With k == 1 the interference sum is exactly the lone interferer's power.
-    sic = (
-        (k == 1)
-        & (interference >= op.gamma * h)
-        & (interference >= op.demand)
-        & connected
-    )
+    sic = (k == 1) & (interference >= op.gamma * h) & connected
     success_c1 = connected & captured
     success_sic = connected & (captured | sic)
     return np.array(

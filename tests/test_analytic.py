@@ -15,7 +15,7 @@ from lora_sic.analytic import (
     with_capture_threshold,
 )
 from lora_sic.experiments import SweepSpec, capacity_table, sweep
-from lora_sic.geometry import OutOfCoverageError, default_layout, ring_of, uniform_traffic
+from lora_sic.geometry import OutOfCoverageError, TrafficModel, default_layout, ring_of
 from lora_sic.params import RadioConfig, db_to_linear, default_sf_table, linear_to_db
 from lora_sic.specfun import hyp2f1_1b
 from quadrature import q2_integral_quadrature
@@ -34,7 +34,7 @@ def test_config_rejects_mismatched_sf_table(cfg):
             radio=RadioConfig(),
             layout=default_layout(),
             sf_table=default_sf_table()[:5],
-            traffic=uniform_traffic(0.0),
+            traffic=TrafficModel(0.0, 0.01),
         )
 
 
@@ -149,14 +149,6 @@ def test_coverage_border_breakdown(cfg):
     assert b.c1 == pytest.approx(b.h1 * b.q1, rel=1e-15)
     assert b.c1_sic == pytest.approx(b.h1 * (b.q1 + b.q2), rel=1e-15)
     assert b.ring == 6 and b.alpha_i == 1.0
-
-
-def test_coverage_uses_traffic_when_intensity_omitted():
-    cfg500 = default_config(nbar=500.0)
-    b = coverage(3000.0, cfg500)
-    assert b.alpha_i == pytest.approx(3.0555555556, rel=1e-9)
-    assert b.c1 == pytest.approx(0.1381618975, abs=1e-9)
-    assert b.c1_sic == pytest.approx(0.2035238290, abs=1e-9)
 
 
 @pytest.mark.parametrize(

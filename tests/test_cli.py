@@ -25,7 +25,7 @@ def test_empty_config_is_default_scenario():
     assert cfg.radio.capture_threshold_db == 1.0
     assert cfg.radio.path_loss_exp == 2.8
     assert cfg.radio.noise_figure_db == 6.0
-    assert cfg.traffic.duty_cycles == (0.01,) * 6
+    assert cfg.traffic.duty_cycle == 0.01
     assert cfg.traffic.n_bar == 0.0
 
 

@@ -15,12 +15,16 @@ from lora_sic.experiments import (
     SweepSpec,
     capacity_table,
     find_alpha_for_target,
+    resolve_intensity,
     sweep,
 )
 from lora_sic.geometry import OutOfCoverageError, nodes_from_alpha
 from lora_sic.params import default_sf_table
 
 SF_TABLE = default_sf_table()
+
+# 500 mean nodes at 1% duty cycle put intensity 2*0.01*rho*V6 on the outer ring.
+BORDER_ALPHA_500 = 500.0 * 2 * 0.01 * (3000.0**2 - 2500.0**2) / 3000.0**2
 
 
 def test_capacity_table_low_load_row_matches_published_counts():
@@ -155,7 +159,7 @@ def test_sweep_probabilities_stay_in_unit_interval(cfg):
         SweepSpec(variable="d1", start=100.0, stop=3000.0, step=100.0, alpha=1.0),
         SweepSpec(variable="alpha", start=0.0, stop=2.0, step=0.1, d1=3000.0),
         SweepSpec(variable="gamma_db", start=0.0, stop=10.0, step=0.5, d1=3000.0, alpha=1.0),
-        SweepSpec(variable="nbar", start=0.0, stop=1000.0, step=100.0, d1=3000.0, alpha=None),
+        SweepSpec(variable="d1", start=100.0, stop=3000.0, step=100.0, nbar=1000.0),
     ]
     for spec in specs:
         for row in sweep(spec, cfg):
@@ -165,13 +169,52 @@ def test_sweep_probabilities_stay_in_unit_interval(cfg):
 
 
 def test_sweep_nbar_matches_explicit_intensity(cfg):
-    # 500 mean nodes put intensity 2*0.01*rho*V6 on the outer ring.
-    spec = SweepSpec(variable="nbar", start=500.0, stop=500.0, step=1.0, d1=3000.0, alpha=None)
+    spec = SweepSpec(variable="d1", start=3000.0, stop=3000.0, step=1.0, nbar=500.0)
     row = sweep(spec, cfg)[0]
-    explicit = coverage(3000.0, cfg, 500.0 * 2 * 0.01 * (3000.0**2 - 2500.0**2) / 3000.0**2)
+    explicit = coverage(3000.0, cfg, BORDER_ALPHA_500)
     assert row.c1 == pytest.approx(explicit.c1, rel=1e-12)
     assert row.c1 == pytest.approx(0.1381618975, abs=1e-9)
     assert row.c1_sic == pytest.approx(0.2035238290, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "scenario_nbar, alpha, nbar, expected",
+    [
+        (500.0, 0.25, None, 0.25),  # 1. an explicit alpha beats both traffic sources
+        (500.0, 0.0, None, 0.0),
+        (500.0, None, 0.0, 0.0),  # 2. an explicit nbar, 0 included, beats the scenario's
+        (0.0, None, 500.0, BORDER_ALPHA_500),
+        (500.0, None, None, BORDER_ALPHA_500),  # 3. the scenario's own nbar
+        (0.0, None, None, 1.0),  # 4. otherwise unit intensity
+    ],
+)
+def test_resolve_intensity_rule(scenario_nbar, alpha, nbar, expected):
+    cfg = default_config(nbar=scenario_nbar)
+    assert resolve_intensity(cfg, 3000.0, alpha, nbar) == pytest.approx(expected, rel=1e-12)
+
+
+def test_resolve_intensity_uses_traffic_when_intensity_omitted():
+    cfg500 = default_config(nbar=500.0)
+    alpha = resolve_intensity(cfg500, 3000.0)
+    assert alpha == pytest.approx(3.0555555556, rel=1e-9)
+    b = coverage(3000.0, cfg500, alpha)
+    assert b.c1 == pytest.approx(0.1381618975, abs=1e-9)
+    assert b.c1_sic == pytest.approx(0.2035238290, abs=1e-9)
+    # One duty cycle for every node: doubling it doubles every ring's intensity.
+    cfg_busy = default_config(nbar=500.0, duty_cycle=0.02)
+    for d1 in (250.0, 1750.0, 3000.0):
+        assert resolve_intensity(cfg_busy, d1) == pytest.approx(
+            2.0 * resolve_intensity(cfg500, d1), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("scenario_nbar", [0.0, 500.0])
+def test_unpinned_sweep_resolves_intensity_like_the_rule(scenario_nbar):
+    cfg = default_config(nbar=scenario_nbar)
+    spec = SweepSpec(variable="d1", start=500.0, stop=3000.0, step=500.0)
+    for row in sweep(spec, cfg):
+        b = coverage(row.x, cfg, resolve_intensity(cfg, row.x))
+        assert (row.h1, row.q1, row.q2, row.c1, row.c1_sic) == (b.h1, b.q1, b.q2, b.c1, b.c1_sic)
 
 
 def test_sweep_with_mc_columns_is_deterministic(cfg):
@@ -187,8 +230,9 @@ def test_sweep_with_mc_columns_is_deterministic(cfg):
 
 
 def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
-        SweepSpec(variable="bogus", start=0.0, stop=1.0, step=0.1)
+    for variable in ("bogus", "nbar"):
+        with pytest.raises(ValueError, match="^variable must be one of"):
+            SweepSpec(variable=variable, start=0.0, stop=1.0, step=0.1)
     with pytest.raises(ValueError):
         SweepSpec(variable="alpha", start=0.0, stop=1.0, step=0.0)
     with pytest.raises(ValueError):

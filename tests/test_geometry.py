@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from lora_sic.geometry import (
     OutOfCoverageError,
     RingLayout,
+    TrafficModel,
     default_layout,
     interferer_intensity,
     nodes_from_alpha,
     ring_area,
     ring_of,
-    uniform_traffic,
 )
 
 LAYOUT = default_layout()
@@ -20,7 +20,7 @@ LAYOUT = default_layout()
 
 def test_default_layout_shape():
     assert LAYOUT.boundaries == (0.0, 500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
-    assert LAYOUT.sfs == (7, 8, 9, 10, 11, 12)
+    assert LAYOUT.n_rings == 6
     assert LAYOUT.radius == 3000.0
 
 
@@ -38,7 +38,7 @@ def test_ring_of_out_of_coverage(d):
 
 
 def test_ring_of_respects_inner_cutoff():
-    layout = RingLayout(boundaries=(100.0, 600.0, 1100.0), sfs=(7, 8))
+    layout = RingLayout(boundaries=(100.0, 600.0, 1100.0))
     assert ring_of(600.0, layout) == 1
     with pytest.raises(OutOfCoverageError):
         ring_of(100.0, layout)  # the cutoff radius itself is uncovered
@@ -48,12 +48,15 @@ def test_ring_of_respects_inner_cutoff():
 
 def test_degenerate_ring_is_rejected_at_construction():
     with pytest.raises(ValueError):
-        RingLayout(boundaries=(0.0, 500.0, 500.0), sfs=(7, 8))
+        RingLayout(boundaries=(0.0, 500.0, 500.0))
 
 
 def test_boundary_count_must_match_rings():
-    with pytest.raises(ValueError):
-        RingLayout(boundaries=(0.0, 3000.0), sfs=(7, 8))
+    # n boundaries bound n - 1 rings, so a layout needs at least two.
+    assert RingLayout(boundaries=(0.0, 3000.0)).n_rings == 1
+    for boundaries in ((), (3000.0,)):
+        with pytest.raises(ValueError, match="at least two boundaries"):
+            RingLayout(boundaries=boundaries)
 
 
 def test_ring_areas():
@@ -67,28 +70,28 @@ def test_ring_areas_sum_to_disc():
 
 
 def test_interferer_intensity_silent_nodes():
-    traffic = uniform_traffic(1000.0, duty_cycle=0.0)
+    traffic = TrafficModel(1000.0, duty_cycle=0.0)
     assert interferer_intensity(3, traffic, LAYOUT) == 0.0
 
 
 def test_interferer_intensity_fifty_node_ring():
     # 50 nodes in ring 1 at 1% duty cycle give unit intensity.
     n_bar = 50.0 * (3000.0**2) / 500.0**2
-    traffic = uniform_traffic(n_bar, duty_cycle=0.01)
+    traffic = TrafficModel(n_bar, duty_cycle=0.01)
     assert interferer_intensity(1, traffic, LAYOUT) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_interferer_intensity_capacity_anchor():
     # 10917 nodes in one ring under the SF7 tabulated duty cycle: intensity ~1.
     n_bar = 10917.0 * (3000.0**2) / 500.0**2
-    traffic = uniform_traffic(n_bar, duty_cycle=45.8e-6)
+    traffic = TrafficModel(n_bar, duty_cycle=45.8e-6)
     assert interferer_intensity(1, traffic, LAYOUT) == pytest.approx(1.0, abs=1e-3)
 
 
 @given(scale=st.floats(min_value=0.01, max_value=100.0))
 def test_interferer_intensity_linear_in_population(scale):
-    base = uniform_traffic(400.0, 0.01)
-    scaled = uniform_traffic(400.0 * scale, 0.01)
+    base = TrafficModel(400.0, 0.01)
+    scaled = TrafficModel(400.0 * scale, 0.01)
     a0 = interferer_intensity(4, base, LAYOUT)
     a1 = interferer_intensity(4, scaled, LAYOUT)
     assert a1 == pytest.approx(scale * a0, rel=1e-9)
@@ -96,8 +99,8 @@ def test_interferer_intensity_linear_in_population(scale):
 
 @given(scale=st.floats(min_value=0.01, max_value=50.0))
 def test_interferer_intensity_linear_in_duty_cycle(scale):
-    base = uniform_traffic(400.0, 0.042 / 50)
-    scaled = uniform_traffic(400.0, 0.042 * scale / 50)
+    base = TrafficModel(400.0, 0.042 / 50)
+    scaled = TrafficModel(400.0, 0.042 * scale / 50)
     assert interferer_intensity(2, scaled, LAYOUT) == pytest.approx(
         scale * interferer_intensity(2, base, LAYOUT), rel=1e-9
     )
@@ -124,7 +127,7 @@ def test_nodes_from_alpha_rejects_bad_duty():
 )
 def test_nodes_from_alpha_inverts_intensity(n_bar, ring):
     """Applying the intensity formula then inverting recovers the rounded ring population."""
-    traffic = uniform_traffic(n_bar, 0.01)
+    traffic = TrafficModel(n_bar, 0.01)
     alpha = interferer_intensity(ring, traffic, LAYOUT)
     n_ring = traffic.density(LAYOUT) * ring_area(ring, LAYOUT)
     # Rounding is discontinuous at half-integers, where a one-ulp wobble in
@@ -137,4 +140,10 @@ def test_nodes_from_alpha_inverts_intensity(n_bar, ring):
 
 def test_traffic_rejects_negative_population():
     with pytest.raises(ValueError):
-        uniform_traffic(-1.0)
+        TrafficModel(-1.0, 0.01)
+
+
+@pytest.mark.parametrize("duty_cycle", [-0.01, 1.0, math.nan])
+def test_traffic_rejects_duty_cycle_outside_unit_interval(duty_cycle):
+    with pytest.raises(ValueError, match="duty cycles must lie in"):
+        TrafficModel(100.0, duty_cycle)

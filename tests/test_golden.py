@@ -6,8 +6,11 @@ inversion, so any change to the analytic or Monte Carlo numbers, the CSV
 formatting or an error message shows here.  The ``plan`` records hold the
 exact roots; at ``gamma_db=-6`` the old bisection could not answer at all
 (its coverage calls refused c1_sic > 1, its sampled guard a rising
-objective).  Change a record only for an intended output change, and say
-which and why in CHANGES.md.
+objective).  The last seven records, one per branch of the intensity rule
+(``--alpha``, ``--nbar`` including 0, the config's ``nbar`` and
+``duty_cycle``, the default alpha = 1), were taken before that rule moved
+into ``experiments.resolve_intensity``.  Change a record only for an
+intended output change, and say which and why in CHANGES.md.
 """
 
 import json

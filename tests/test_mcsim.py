@@ -68,6 +68,21 @@ def test_forced_two_interferers_never_sic_decoded(cfg):
     )
 
 
+def test_forced_faint_single_interferer_below_0db_is_captured_and_sic_decoded():
+    # At -3 dB a lone interferer with 0.9x the noise demand, at the reference's
+    # own radius, against a reference fading of 1.5x the demand: gamma * h
+    # <= interference < demand <= h.  The reference is captured, and the SIC
+    # clause holds too, since it leaves the interferer's own SNR unchecked:
+    # whatever that check would exclude below 0 dB is captured anyway.
+    op = _operating_point(100.0, default_config(capture_threshold_db=-3.0))
+    assert op.gamma < 1.0
+    out = _score(op, [1], [_u_exp(1.5 * op.demand)], [0.04], [_u_exp(0.9 * op.demand)])
+    assert out == dict(
+        trials=1, connected=1, captured=1, success_c1=1, success_c1_sic=1,
+        collisions=1, singles=1, overlap=1,
+    )
+
+
 def test_outcome_counts_invariants_on_random_batch(cfg):
     rng = np.random.Generator(np.random.PCG64(11))
     n = 5000

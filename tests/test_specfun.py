@@ -37,6 +37,19 @@ def test_agrees_with_scipy_across_branches(b):
         assert ours == pytest.approx(ref, rel=1e-10), f"z={z}"
 
 
+def test_agrees_with_40_digit_mpmath_to_double_precision():
+    # The benchmark's accuracy grid: eta in [2.0001, 8], z in [-1e12, -1e-6].
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for eta in (2.0001, 2.2, 2.8, 3.5, 4.5, 6.0, 8.0):
+            b = 2.0 / eta
+            for k in range(19):
+                z = -(10.0 ** (-6 + k))
+                ref = mpmath.hyp2f1(1, b, 1 + b, z)
+                rel_err = float(abs((hyp2f1_1b(b, z) - ref) / ref))
+                assert rel_err <= 2e-15, f"b={b} z={z} rel_err={rel_err}"
+
+
 @pytest.mark.parametrize("b", [0.3, 5.0 / 7.0, 0.95])
 def test_pfaff_transform_consistency(b):
     """(1-z) * 2F1(1,b;1+b;z) equals 2F1(1,1;1+b;z/(z-1)) for every branch."""
