@@ -9,8 +9,13 @@ exact roots; at ``gamma_db=-6`` the old bisection could not answer at all
 objective).  The last seven records, one per branch of the intensity rule
 (``--alpha``, ``--nbar`` including 0, the config's ``nbar`` and
 ``duty_cycle``, the default alpha = 1), were taken before that rule moved
-into ``experiments.resolve_intensity``.  Change a record only for an
-intended output change, and say which and why in CHANGES.md.
+into ``experiments.resolve_intensity``.  The eleven after them were taken
+before the scenario became one flat ``NetworkConfig``: every config-value
+error, the one that fires first when two values are bad, an unknown key
+(``capture_threshold_db`` included, the library's old spelling of
+``gamma_db``), a negative ``--nbar``, and a d1 sweep in a 1234.5 m cell up to
+its edge.  Change a record only for an intended output change, and say which
+and why in CHANGES.md.
 """
 
 import json
