@@ -8,7 +8,6 @@ dependencies, sweep/capacity/planning experiments and a CSV-emitting CLI.
 
 from .analytic import (
     CoverageBreakdown,
-    NetworkConfig,
     capture_probability,
     connection_probability,
     coverage,
@@ -16,7 +15,6 @@ from .analytic import (
     path_loss_gain,
     sic_capture_probability,
     single_interferer_given_collision,
-    with_capture_threshold,
 )
 from .experiments import (
     CapacityRow,
@@ -30,9 +28,6 @@ from .experiments import (
 )
 from .geometry import (
     OutOfCoverageError,
-    RingLayout,
-    TrafficModel,
-    default_layout,
     interferer_intensity,
     nodes_from_alpha,
     ring_area,
@@ -40,7 +35,7 @@ from .geometry import (
 )
 from .params import (
     DEFAULT_SEED,
-    RadioConfig,
+    NetworkConfig,
     SfParams,
     db_to_linear,
     default_sf_table,
@@ -62,19 +57,15 @@ __all__ = [
     "McReport",
     "NetworkConfig",
     "OutOfCoverageError",
-    "RadioConfig",
-    "RingLayout",
     "SfParams",
     "SweepRow",
     "SweepSpec",
-    "TrafficModel",
     "capacity_table",
     "capture_probability",
     "connection_probability",
     "coverage",
     "db_to_linear",
     "default_config",
-    "default_layout",
     "default_sf_table",
     "duty_cycle_from_toa",
     "estimate",
@@ -91,7 +82,6 @@ __all__ = [
     "sic_capture_probability",
     "single_interferer_given_collision",
     "sweep",
-    "with_capture_threshold",
 ]
 
 # The Monte Carlo names load numpy, so they are imported on first access

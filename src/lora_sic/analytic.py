@@ -13,52 +13,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import RingLayout, TrafficModel, default_layout, ring_of
-from .params import RadioConfig, SfParams, db_to_linear, default_sf_table
+from .geometry import ring_of
+from .params import NetworkConfig, db_to_linear, default_sf_table
 from .specfun import hyp2f1_1b
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    """A complete scenario: radio, ring layout, SF table and traffic."""
-
-    radio: RadioConfig
-    layout: RingLayout
-    sf_table: tuple[SfParams, ...]
-    traffic: TrafficModel
-
-    def __post_init__(self) -> None:
-        if len(self.sf_table) != self.layout.n_rings:
-            raise ValueError("sf_table must hold one row per ring")
-
-    def sf_for_ring(self, ring: int) -> SfParams:
-        return self.sf_table[ring - 1]
-
-
-def default_config(
-    nbar: float = 0.0,
-    duty_cycle: float = 0.01,
-    radius_m: float = 3000.0,
-    **radio_overrides: float,
-) -> NetworkConfig:
-    """The suburban reference scenario: R=3000 m, six 500 m rings, 1% duty cycle.
-
-    ``radio_overrides`` are forwarded to :class:`RadioConfig` (e.g.
-    ``capture_threshold_db=6``).
-    """
-    return NetworkConfig(
-        layout=default_layout(radius_m=radius_m),
-        radio=RadioConfig(**radio_overrides),
-        sf_table=default_sf_table(),
-        traffic=TrafficModel(n_bar=nbar, duty_cycle=duty_cycle),
-    )
-
-
-def with_capture_threshold(cfg: NetworkConfig, gamma_db: float) -> NetworkConfig:
-    return replace(cfg, radio=replace(cfg.radio, capture_threshold_db=gamma_db))
+def default_config(**values: float) -> NetworkConfig:
+    """The suburban reference scenario (R=3000 m, six 500 m rings, 1% duty
+    cycle, 1 dB capture threshold), with ``values`` overriding its fields."""
+    return NetworkConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -87,11 +53,11 @@ class CoverageBreakdown:
                 raise ValueError(f"{name}={value} is not a probability")
 
 
-def path_loss_gain(d: float, radio: RadioConfig) -> float:
+def path_loss_gain(d: float, cfg: NetworkConfig) -> float:
     """Free-space-style power gain (wavelength / 4 pi d)^eta."""
     if d <= 0:
         raise ValueError(f"distance must be positive, got {d}")
-    return (radio.wavelength_m / (4.0 * math.pi * d)) ** radio.path_loss_exp
+    return (cfg.wavelength_m / (4.0 * math.pi * d)) ** cfg.path_loss_exp
 
 
 class _OperatingPoint(NamedTuple):
@@ -117,15 +83,12 @@ class _OperatingPoint(NamedTuple):
 
 
 def _operating_point(d1: float, cfg: NetworkConfig) -> _OperatingPoint:
-    ring = ring_of(d1, cfg.layout)
-    l_lo, l_hi = cfg.layout.bounds(ring)
-    radio = cfg.radio
-    q_lin = db_to_linear(cfg.sf_for_ring(ring).snr_threshold_db)
-    mean_rx_mw = radio.tx_power_mw * path_loss_gain(d1, radio)
-    demand = radio.noise_power_mw * q_lin / mean_rx_mw
-    return _OperatingPoint(
-        d1, ring, l_lo, l_hi, radio.capture_threshold, radio.path_loss_exp, demand
-    )
+    ring = ring_of(d1, cfg)
+    q_lin = db_to_linear(default_sf_table()[ring - 1].snr_threshold_db)
+    mean_rx_mw = cfg.tx_power_mw * path_loss_gain(d1, cfg)
+    demand = cfg.noise_power_mw * q_lin / mean_rx_mw
+    l_lo, l_hi = cfg.boundaries[ring - 1], cfg.boundaries[ring]
+    return _OperatingPoint(d1, ring, l_lo, l_hi, cfg.gamma, cfg.path_loss_exp, demand)
 
 
 def _check_intensity(alpha_i: float) -> None:
@@ -200,7 +163,7 @@ def coverage(d1: float, cfg: NetworkConfig, alpha_i: float) -> CoverageBreakdown
     """Full probability breakdown at one operating point and intensity.
 
     :func:`lora_sic.experiments.resolve_intensity` derives ``alpha_i`` from
-    the scenario's traffic model when no intensity is given.
+    the scenario's ``nbar`` and ``duty_cycle`` when no intensity is given.
     """
     op = _operating_point(d1, cfg)
     _check_intensity(alpha_i)

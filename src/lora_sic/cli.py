@@ -3,18 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import inspect
 import math
 import sys
 from dataclasses import fields
 from typing import IO, Sequence
 
-from .analytic import (
-    NetworkConfig,
-    coverage,
-    default_config,
-    single_interferer_given_collision,
-)
+from .analytic import coverage, single_interferer_given_collision
 from .experiments import (
     CapacityRow,
     InfeasibleTargetError,
@@ -25,27 +19,15 @@ from .experiments import (
     sweep,
 )
 from .geometry import OutOfCoverageError
-from .params import DEFAULT_SEED, RadioConfig
+from .params import DEFAULT_SEED, NetworkConfig, default_sf_table
 from .specfun import ConvergenceError
 
 #: Grid for the analytic-vs-MC validation report: three rings, three loads.
 VALIDATE_D1 = (400.0, 1700.0, 3000.0)
 VALIDATE_ALPHA = (0.25, 0.5, 1.0)
 
-#: Config keys named differently from their ``default_config`` argument.
-_CONFIG_ARGS = {"gamma_db": "capture_threshold_db"}
-_ARG_KEYS = {arg: key for key, arg in _CONFIG_ARGS.items()}
-
-# Every config key with its default: the scenario arguments of default_config
-# plus the RadioConfig fields it forwards.
-_CONFIG_DEFAULTS: dict[str, float] = {
-    **{
-        name: param.default
-        for name, param in inspect.signature(default_config).parameters.items()
-        if param.default is not param.empty
-    },
-    **{_ARG_KEYS.get(f.name, f.name): f.default for f in fields(RadioConfig)},
-}
+#: Every config key with its default.
+_CONFIG_DEFAULTS: dict[str, float] = {f.name: f.default for f in fields(NetworkConfig)}
 
 
 class UsageError(Exception):
@@ -107,13 +89,7 @@ def parse_config(text: str) -> NetworkConfig:
     non-numeric values and invariant violations raise ``ValueError`` naming
     the offending key.
     """
-    return config_from_values(_parse_values(text))
-
-
-def config_from_values(values: dict[str, float]) -> NetworkConfig:
-    if values["nbar"] < 0:
-        raise ValueError(f"nbar must be nonnegative, got {values['nbar']}")
-    return default_config(**{_CONFIG_ARGS.get(key, key): v for key, v in values.items()})
+    return NetworkConfig(**_parse_values(text))
 
 
 def _fmt(value: object) -> str:
@@ -151,7 +127,7 @@ def _cmd_table1(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> i
     header = ["sf", "toa_ms", "bitrate_kbps", "sensitivity_dbm", "snr_threshold_db", "duty_cycle"]
     rows = [
         [r.sf, r.toa_ms, r.bitrate_kbps, r.sensitivity_dbm, r.snr_threshold_db, r.duty_cycle]
-        for r in cfg.sf_table
+        for r in default_sf_table()
     ]
     _write_csv(out, header, rows)
     return 0
@@ -272,7 +248,7 @@ def _cmd_capacity(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) ->
         raise UsageError(f"--alphas entries must be finite, got {args.alphas!r}")
     if not alphas:
         raise UsageError("--alphas must name at least one intensity")
-    rows = capacity_table(alphas, cfg.sf_table)
+    rows = capacity_table(alphas, default_sf_table())
     _emit_capacity(out, rows)
     return 0
 
@@ -285,7 +261,7 @@ def _emit_capacity(out: IO[str], rows: list[CapacityRow]) -> None:
 def _cmd_plan(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
     alpha_star = find_alpha_for_target(args.target, args.d1, cfg, with_sic=args.sic)
     if alpha_star > 0:
-        nodes = capacity_table([alpha_star], cfg.sf_table)[0]
+        nodes = capacity_table([alpha_star], default_sf_table())[0]
     else:
         nodes = CapacityRow(alpha=0.0, nodes=(0,) * 6, total=0)
     header = ["target", "with_sic", "alpha_star"] + [f"n_sf{sf}" for sf in range(7, 13)] + ["total"]
@@ -374,7 +350,7 @@ def _load_config(args: argparse.Namespace) -> NetworkConfig:
             raise UsageError(f"--set expects KEY=VALUE, got {pair!r}")
         key, _, value = pair.partition("=")
         _set_value(values, key.strip(), value, "--set override")
-    return config_from_values(values)
+    return NetworkConfig(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .analytic import NetworkConfig, _operating_point, coverage, with_capture_threshold
+from .analytic import _operating_point, coverage
 from .geometry import interferer_intensity, nodes_from_alpha, ring_of
-from .params import DEFAULT_SEED, SfParams
+from .params import DEFAULT_SEED, NetworkConfig, SfParams
 
 SWEEP_VARIABLES = ("d1", "alpha", "gamma_db")
 
@@ -95,20 +95,18 @@ def resolve_intensity(
     The first of these that applies decides it:
 
     1. an explicit ``alpha``;
-    2. an explicit ``nbar``, 0 included, pushed through the scenario's
-       traffic model;
-    3. the scenario's own ``n_bar``, when it is above 0, likewise;
+    2. an explicit ``nbar``, 0 included, through
+       :func:`~lora_sic.geometry.interferer_intensity`;
+    3. the scenario's own ``nbar``, when it is above 0, likewise;
     4. otherwise alpha = 1.
     """
     if alpha is not None:
         return alpha
-    if nbar is not None:
-        traffic = replace(cfg.traffic, n_bar=nbar)
-    elif cfg.traffic.n_bar > 0:
-        traffic = cfg.traffic
-    else:
-        return 1.0
-    return interferer_intensity(ring_of(d1, cfg.layout), traffic, cfg.layout)
+    if nbar is None:
+        if not cfg.nbar > 0:
+            return 1.0
+        nbar = cfg.nbar
+    return interferer_intensity(ring_of(d1, cfg), cfg, nbar)
 
 
 def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
@@ -126,7 +124,7 @@ def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
         elif spec.variable == "alpha":
             alpha = x
         else:
-            point_cfg = with_capture_threshold(cfg, x)
+            point_cfg = replace(cfg, gamma_db=x)
         alpha_i = resolve_intensity(point_cfg, d1, alpha, spec.nbar)
         breakdown = coverage(d1, point_cfg, alpha_i)
         row = SweepRow(

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import NetworkConfig, _operating_point, _OperatingPoint
-from .params import DEFAULT_SEED
+from .analytic import _operating_point, _OperatingPoint
+from .params import DEFAULT_SEED, NetworkConfig
 
 #: Trials per chunk; fixed so a seed always yields the same chunk streams.
 CHUNK_TRIALS = 1 << 14

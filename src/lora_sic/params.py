@@ -1,4 +1,4 @@
-"""LoRa per-SF radio constants, derived radio quantities and dB conversions."""
+"""The scenario record, LoRa per-SF radio constants and dB conversions."""
 
 from __future__ import annotations
 
@@ -44,25 +44,40 @@ class SfParams:
 
 
 @dataclass(frozen=True)
-class RadioConfig:
-    """Radio-level scenario parameters.
+class NetworkConfig:
+    """The whole scenario, one flat record keyed by the config names.
 
-    dB-valued fields are converted to linear scale once, at the point of use;
-    all probability math downstream is carried out in linear units.
+    A disc of radius ``radius_m`` cut into six equal rings, SF7 innermost to
+    SF12 outermost (ring i uses row i of :func:`default_sf_table`), holding
+    ``nbar`` nodes on average that all transmit at ``duty_cycle``.
+
+    Derived once per config: ``boundaries``, the seven ring radii from 0 to
+    the cell edge (ring i covers the half-open annulus
+    ``(boundaries[i-1], boundaries[i]]``), the ``wavelength_m``, and the
+    linear ``tx_power_mw``, ``noise_power_mw`` and capture threshold
+    ``gamma``.  All probability math downstream is carried out in linear
+    units.
     """
 
+    nbar: float = 0.0
+    duty_cycle: float = 0.01
+    radius_m: float = 3000.0
     carrier_hz: float = 868e6
     bandwidth_hz: float = 125e3
     tx_power_dbm: float = 14.0
     noise_figure_db: float = 6.0
     path_loss_exp: float = 2.8
-    capture_threshold_db: float = 1.0
+    gamma_db: float = 1.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.nbar < 0:
+            raise ValueError(f"nbar must be nonnegative, got {self.nbar}")
+        if self.radius_m <= 0:
+            raise ValueError(f"radius_m must be positive, got {self.radius_m}")
         if self.carrier_hz <= 0:
             raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
         if self.bandwidth_hz <= 0:
@@ -73,25 +88,20 @@ class RadioConfig:
             raise ValueError(
                 f"path_loss_exp must exceed 2, got {self.path_loss_exp}"
             )
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT_M_S / self.carrier_hz
-
-    @property
-    def capture_threshold(self) -> float:
-        """Capture threshold as a linear power ratio."""
-        return db_to_linear(self.capture_threshold_db)
-
-    @property
-    def tx_power_mw(self) -> float:
-        return db_to_linear(self.tx_power_dbm)
-
-    @property
-    def noise_power_mw(self) -> float:
-        return db_to_linear(
-            noise_power_dbm(self.noise_figure_db, self.bandwidth_hz)
-        )
+        if not 0 <= self.duty_cycle < 1:
+            raise ValueError(f"duty cycles must lie in [0, 1), got {self.duty_cycle}")
+        width = self.radius_m / 6
+        derived = {
+            "boundaries": tuple(i * width for i in range(7)),
+            "wavelength_m": SPEED_OF_LIGHT_M_S / self.carrier_hz,
+            "tx_power_mw": db_to_linear(self.tx_power_dbm),
+            "noise_power_mw": db_to_linear(
+                noise_power_dbm(self.noise_figure_db, self.bandwidth_hz)
+            ),
+            "gamma": db_to_linear(self.gamma_db),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 _SF_TABLE = (

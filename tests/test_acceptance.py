@@ -233,7 +233,7 @@ def test_criterion_5b_sic_term_at_six_db():
     and the program's value misses 0.056.
     """
     alpha = 1.0
-    b = coverage(3000.0, default_config(capture_threshold_db=6.0), alpha)
+    b = coverage(3000.0, default_config(gamma_db=6.0), alpha)
     value = b.h1 * b.q2
 
     def h1_q2(gamma_lin):
@@ -274,8 +274,8 @@ def test_criterion_5b_sic_term_at_six_db():
 def test_criterion_6_planning_thresholds(cfg):
     plain = find_alpha_for_target(0.8, 3000.0, cfg, with_sic=False)
     sic = find_alpha_for_target(0.8, 3000.0, cfg, with_sic=True)
-    total_plain = capacity_table([plain], cfg.sf_table)[0].total
-    total_sic = capacity_table([sic], cfg.sf_table)[0].total
+    total_plain = capacity_table([plain], default_sf_table())[0].total
+    total_sic = capacity_table([sic], default_sf_table())[0].total
     ratio = total_sic / total_plain
     ok = (
         abs(plain - 0.20) <= 0.02
@@ -352,7 +352,7 @@ def test_criterion_9_property_suite(cfg, tmp_path):
         problems.append("q1 not nonincreasing in alpha")
 
     for gamma_db in (0.0, 1.0, 6.0, 10.0):
-        cfg_g = default_config(capture_threshold_db=gamma_db)
+        cfg_g = default_config(gamma_db=gamma_db)
         for d1 in (250.0, 1750.0, 3000.0):
             b = coverage(d1, cfg_g, 1.0)
             if b.q1 + b.q2 > 1.0 + 1e-12:

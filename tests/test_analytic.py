@@ -4,7 +4,6 @@ import pytest
 
 from lora_sic import analytic
 from lora_sic.analytic import (
-    NetworkConfig,
     capture_probability,
     connection_probability,
     coverage,
@@ -12,11 +11,10 @@ from lora_sic.analytic import (
     path_loss_gain,
     sic_capture_probability,
     single_interferer_given_collision,
-    with_capture_threshold,
 )
 from lora_sic.experiments import SweepSpec, capacity_table, sweep
-from lora_sic.geometry import OutOfCoverageError, TrafficModel, default_layout, ring_of
-from lora_sic.params import RadioConfig, db_to_linear, default_sf_table, linear_to_db
+from lora_sic.geometry import OutOfCoverageError, ring_of
+from lora_sic.params import db_to_linear, default_sf_table, linear_to_db
 from lora_sic.specfun import hyp2f1_1b
 from quadrature import q2_integral_quadrature
 
@@ -28,28 +26,18 @@ BORDER_Q2 = 0.1848069347712998
 BORDER_H1Q2_6DB = 0.0808280028420661
 
 
-def test_config_rejects_mismatched_sf_table(cfg):
-    with pytest.raises(ValueError):
-        NetworkConfig(
-            radio=RadioConfig(),
-            layout=default_layout(),
-            sf_table=default_sf_table()[:5],
-            traffic=TrafficModel(0.0, 0.01),
-        )
-
-
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda cfg: ring_of(math.nan, cfg.layout), "distance"),
+        (lambda cfg: ring_of(math.nan, cfg), "distance"),
         (lambda cfg: coverage(math.nan, cfg, 1.0), "distance"),
         (lambda cfg: coverage(3000.0, cfg, math.inf), "alpha_i"),
         (lambda cfg: capture_probability(3000.0, cfg, math.nan), "alpha_i"),
         (lambda cfg: sic_capture_probability(3000.0, cfg, math.inf), "alpha_i"),
-        (lambda cfg: capacity_table([0.2, math.nan], cfg.sf_table), "alphas"),
-        (lambda cfg: default_config(capture_threshold_db=math.nan), "capture_threshold_db"),
+        (lambda cfg: capacity_table([0.2, math.nan], default_sf_table()), "alphas"),
+        (lambda cfg: default_config(gamma_db=math.nan), "gamma_db"),
         (lambda cfg: default_config(tx_power_dbm=math.inf), "tx_power_dbm"),
-        (lambda cfg: default_config(nbar=math.nan), "n_bar"),
+        (lambda cfg: default_config(nbar=math.nan), "nbar"),
         (lambda cfg: default_config(radius_m=math.inf), "radius_m"),
     ],
     ids=[
@@ -63,21 +51,21 @@ def test_non_finite_library_input_is_named(cfg, call, name):
 
 
 def test_wavelength_anchor(cfg):
-    assert cfg.radio.wavelength_m == pytest.approx(0.3454, abs=1e-4)
+    assert cfg.wavelength_m == pytest.approx(0.3454, abs=1e-4)
 
 
 def test_path_loss_gain_at_border(cfg):
-    assert path_loss_gain(3000.0, cfg.radio) == pytest.approx(7.826114487474150e-15, rel=1e-12)
+    assert path_loss_gain(3000.0, cfg) == pytest.approx(7.826114487474150e-15, rel=1e-12)
 
 
 def test_path_loss_power_law_scaling(cfg):
-    ratio = path_loss_gain(2000.0, cfg.radio) / path_loss_gain(1000.0, cfg.radio)
+    ratio = path_loss_gain(2000.0, cfg) / path_loss_gain(1000.0, cfg)
     assert ratio == pytest.approx(2.0**-2.8, rel=1e-12)
 
 
 def test_path_loss_rejects_nonpositive_distance(cfg):
     with pytest.raises(ValueError):
-        path_loss_gain(0.0, cfg.radio)
+        path_loss_gain(0.0, cfg)
 
 
 def test_connection_probability_near_gateway_limit(cfg):
@@ -107,7 +95,7 @@ def test_capture_probability_border_anchor(cfg):
 
 
 def test_capture_probability_threshold_free_limit(cfg):
-    easy = default_config(capture_threshold_db=-300.0)
+    easy = default_config(gamma_db=-300.0)
     assert capture_probability(3000.0, easy, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -131,7 +119,7 @@ def test_sic_gain_anchor_at_one_db(cfg):
 
 def test_sic_gain_at_six_db():
     # The honest six-decibel value; the capture threshold enters as 10^0.6.
-    cfg6 = default_config(capture_threshold_db=6.0)
+    cfg6 = default_config(gamma_db=6.0)
     b = coverage(3000.0, cfg6, 1.0)
     assert b.h1 * b.q2 == pytest.approx(BORDER_H1Q2_6DB, rel=1e-9)
 
@@ -183,7 +171,7 @@ GAMMA_LIN_GRID = [0.5, 1.0, 1.26, 2.0, 4.0, 10.0]
 
 
 def _cfg_gamma(gamma_lin):
-    return default_config(capture_threshold_db=linear_to_db(gamma_lin))
+    return default_config(gamma_db=linear_to_db(gamma_lin))
 
 
 def test_q1_nonincreasing_in_intensity(cfg):
@@ -248,11 +236,11 @@ def test_capture_events_overlap_below_zero_db():
 
 def test_closed_forms_match_quadrature_on_grid(cfg):
     """Dual-route agreement of both capture factors everywhere on the grid."""
-    eta = cfg.radio.path_loss_exp
+    eta = cfg.path_loss_exp
     for gamma_lin in GAMMA_LIN_GRID:
         cfg_g = _cfg_gamma(gamma_lin)
         for ring, d1s in D1_GRID.items():
-            lo, hi = cfg.layout.bounds(ring)
+            lo, hi = cfg.boundaries[ring - 1], cfg.boundaries[ring]
             for d1 in d1s:
                 for alpha in (0.5, 1.0):
                     q1 = capture_probability(d1, cfg_g, alpha)

@@ -2,6 +2,7 @@ import pytest
 
 from lora_sic.analytic import default_config
 from lora_sic.cli import main, parse_config
+from lora_sic.params import NetworkConfig
 
 
 def _run(capsys, argv):
@@ -20,23 +21,23 @@ def _rows(text):
 
 def test_empty_config_is_default_scenario():
     cfg = parse_config("")
-    assert cfg.layout.radius == 3000.0
-    assert cfg.layout.boundaries == (0.0, 500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
-    assert cfg.radio.capture_threshold_db == 1.0
-    assert cfg.radio.path_loss_exp == 2.8
-    assert cfg.radio.noise_figure_db == 6.0
-    assert cfg.traffic.duty_cycle == 0.01
-    assert cfg.traffic.n_bar == 0.0
+    assert cfg.radius_m == 3000.0
+    assert cfg.boundaries == (0.0, 500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
+    assert cfg.gamma_db == 1.0
+    assert cfg.path_loss_exp == 2.8
+    assert cfg.noise_figure_db == 6.0
+    assert cfg.duty_cycle == 0.01
+    assert cfg.nbar == 0.0
 
 
 def test_empty_config_equals_default_config():
-    assert parse_config("") == default_config()
+    assert parse_config("") == default_config() == NetworkConfig()
 
 
 def test_config_overrides_and_comments():
     cfg = parse_config("# scenario\ngamma_db = 6  # manufacturer threshold\nnbar=500\n")
-    assert cfg.radio.capture_threshold_db == 6.0
-    assert cfg.traffic.n_bar == 500.0
+    assert cfg.gamma_db == 6.0
+    assert cfg.nbar == 500.0
 
 
 def test_config_rejects_unknown_key():

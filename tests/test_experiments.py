@@ -61,7 +61,7 @@ def test_find_alpha_with_sic(cfg):
 @pytest.mark.parametrize("with_sic", [False, True])
 @pytest.mark.parametrize("gamma_db", [-6.0, 0.0, 1.0, 6.0])
 def test_find_alpha_meets_target_to_double_precision(gamma_db, with_sic):
-    cfg_g = default_config(capture_threshold_db=gamma_db)
+    cfg_g = default_config(gamma_db=gamma_db)
     for d1 in (250.0, 750.0, 1250.0, 1750.0, 2250.0, 2750.0):  # one per ring
         for target in (0.3, 0.6, 0.85):
             alpha = find_alpha_for_target(target, d1, cfg_g, with_sic=with_sic)
@@ -84,7 +84,7 @@ def test_find_alpha_answers_when_sic_coverage_first_rises():
     # suppressed (K2 > K1), so c1_sic rises from h1 before it falls.
     # There c1_sic can even pass one (the q1 + q2 > 1 caveat), so it is
     # assembled from the public factors instead of read off coverage().
-    cfg_g = default_config(capture_threshold_db=-6.0)
+    cfg_g = default_config(gamma_db=-6.0)
 
     def c1_sic(alpha):
         return connection_probability(3000.0, cfg_g) * (

@@ -41,7 +41,7 @@ def test_forced_interference_free_trial(cfg):
 def test_forced_interference_free_trial_captured_at_infinite_threshold(cfg):
     # With no interferer the SIR is unbounded, so capture holds at any
     # threshold; the comparison h >= gamma * 0 alone fails at gamma = inf.
-    # RadioConfig only takes finite thresholds, so gamma enters through op.
+    # NetworkConfig only takes finite thresholds, so gamma enters through op.
     op = _operating_point(100.0, cfg)._replace(gamma=math.inf)
     with np.errstate(invalid="ignore"):
         out = _score(op, [0], [_u_exp(1.0)])
@@ -74,7 +74,7 @@ def test_forced_faint_single_interferer_below_0db_is_captured_and_sic_decoded():
     # <= interference < demand <= h.  The reference is captured, and the SIC
     # clause holds too, since it leaves the interferer's own SNR unchecked:
     # whatever that check would exclude below 0 dB is captured anyway.
-    op = _operating_point(100.0, default_config(capture_threshold_db=-3.0))
+    op = _operating_point(100.0, default_config(gamma_db=-3.0))
     assert op.gamma < 1.0
     out = _score(op, [1], [_u_exp(1.5 * op.demand)], [0.04], [_u_exp(0.9 * op.demand)])
     assert out == dict(
@@ -118,7 +118,7 @@ _RECORDED_COUNTS = {
 @pytest.mark.parametrize("gamma_db, alpha, seed", sorted(_RECORDED_COUNTS))
 def test_estimate_reproduces_recorded_counts(gamma_db, alpha, seed):
     n = 2 * CHUNK_TRIALS + 5
-    report = estimate(2700.0, default_config(capture_threshold_db=gamma_db), alpha, n, seed=seed)
+    report = estimate(2700.0, default_config(gamma_db=gamma_db), alpha, n, seed=seed)
     marginals = (report.connected, report.captured, report.success_c1, report.success_c1_sic)
     assert all(est.trials == n for est in marginals)
     singles = report.single_interferer_given_collision

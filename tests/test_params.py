@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from lora_sic.params import (
     MESSAGE_PERIOD_MS,
-    RadioConfig,
+    NetworkConfig,
     SfParams,
     db_to_linear,
     default_sf_table,
@@ -135,12 +135,12 @@ def test_sf_params_validation(kwargs):
 )
 def test_radio_config_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
-        RadioConfig(**kwargs)
+        NetworkConfig(**kwargs)
 
 
 def test_radio_config_derived_quantities():
-    radio = RadioConfig()
-    assert radio.capture_threshold == pytest.approx(10 ** 0.1, rel=1e-12)
-    assert radio.wavelength_m == pytest.approx(0.34539, abs=1e-5)
-    assert radio.tx_power_mw == pytest.approx(10 ** 1.4, rel=1e-12)
-    assert radio.noise_power_mw == pytest.approx(10 ** (-117.03089986991944 / 10), rel=1e-10)
+    cfg = NetworkConfig()
+    assert cfg.gamma == pytest.approx(10 ** 0.1, rel=1e-12)
+    assert cfg.wavelength_m == pytest.approx(0.34539, abs=1e-5)
+    assert cfg.tx_power_mw == pytest.approx(10 ** 1.4, rel=1e-12)
+    assert cfg.noise_power_mw == pytest.approx(10 ** (-117.03089986991944 / 10), rel=1e-10)
