@@ -92,7 +92,8 @@ class NetworkConfig:
             raise ValueError(f"duty cycles must lie in [0, 1), got {self.duty_cycle}")
         width = self.radius_m / 6
         derived = {
-            "boundaries": tuple(i * width for i in range(7)),
+            # 6 * width can miss radius_m by an ulp; the edge is radius_m itself.
+            "boundaries": (*(i * width for i in range(6)), self.radius_m),
             "wavelength_m": SPEED_OF_LIGHT_M_S / self.carrier_hz,
             "tx_power_mw": db_to_linear(self.tx_power_dbm),
             "noise_power_mw": db_to_linear(

@@ -27,6 +27,17 @@ def test_ring_of(d, ring):
     assert ring_of(d, CFG) == ring
 
 
+@pytest.mark.parametrize("radius_m", [6516.3, 254.6, 7887.3])
+def test_configured_radius_is_the_outer_ring_edge(radius_m):
+    # Six widths of radius_m / 6 fall one ulp short of these radii.
+    assert 6 * (radius_m / 6) != radius_m
+    cfg = NetworkConfig(radius_m=radius_m)
+    assert cfg.boundaries[-1] == radius_m
+    assert ring_of(radius_m, cfg) == 6
+    with pytest.raises(OutOfCoverageError, match=f"cell radius {radius_m} m"):
+        ring_of(math.nextafter(radius_m, math.inf), cfg)
+
+
 @pytest.mark.parametrize("d", [0.0, -5.0, 3000.1])
 def test_ring_of_out_of_coverage(d):
     with pytest.raises(OutOfCoverageError):
