@@ -47,6 +47,11 @@ class CoverageBreakdown:
     d1: float
 
     def __post_init__(self) -> None:
+        if self.c1_sic > 1.0:
+            raise ValueError(
+                f"c1_sic = h1(q1+q2) = {self.c1_sic} exceeds 1: below 0 dB capture "
+                "and SIC are not disjoint events, so the closed form does not apply"
+            )
         for name in ("h1", "q1", "q2", "c1", "c1_sic"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -85,7 +90,15 @@ class _OperatingPoint(NamedTuple):
 def _operating_point(d1: float, cfg: NetworkConfig) -> _OperatingPoint:
     ring = ring_of(d1, cfg)
     q_lin = db_to_linear(default_sf_table()[ring - 1].snr_threshold_db)
-    mean_rx_mw = cfg.tx_power_mw * path_loss_gain(d1, cfg)
+    try:
+        mean_rx_mw = cfg.tx_power_mw * path_loss_gain(d1, cfg)
+    except OverflowError:
+        mean_rx_mw = math.inf
+    if not 0.0 < mean_rx_mw < math.inf:
+        raise ValueError(
+            f"d1={d1} m puts the mean received power at {mean_rx_mw} mW, out of "
+            "floating-point range for this tx_power_dbm and path_loss_exp"
+        )
     demand = cfg.noise_power_mw * q_lin / mean_rx_mw
     l_lo, l_hi = cfg.boundaries[ring - 1], cfg.boundaries[ring]
     return _OperatingPoint(d1, ring, l_lo, l_hi, cfg.gamma, cfg.path_loss_exp, demand)

@@ -185,15 +185,46 @@ def test_bad_override_exit_status(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("override", ["path_loss_exp=150", "tx_power_dbm=1e6"])
-def test_arithmetic_error_exit_status(capsys, override):
-    # A huge exponent underflows the path gain to zero (ZeroDivisionError);
-    # a huge power overflows the dB conversion (OverflowError).
-    code, out, err = _run(capsys, ["--set", override, "coverage", "--d1", "3000"])
+def _at_border(override):
+    return ["--set", override, "coverage", "--d1", "3000"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        # A huge exponent underflows the path gain to zero.
+        pytest.param(_at_border("path_loss_exp=150"), "path_loss_exp", id="path_loss_exp=150"),
+        # Huge or tiny dB values overflow or underflow their linear value.
+        pytest.param(_at_border("tx_power_dbm=1e6"), "tx_power_dbm", id="tx_power_dbm=1e6"),
+        pytest.param(_at_border("tx_power_dbm=-1e6"), "tx_power_dbm", id="tx_power_dbm=-1e6"),
+        pytest.param(_at_border("noise_figure_db=1e6"), "noise_figure_db", id="noise_figure_db=1e6"),
+        pytest.param(_at_border("gamma_db=1e300"), "gamma_db", id="gamma_db=1e300"),
+        pytest.param(_at_border("gamma_db=-4000"), "gamma_db", id="gamma_db=-4000"),
+        pytest.param(
+            ["--set", "gamma_db=-4000", "mc", "--d1", "3000", "--alpha", "1", "--trials", "10"],
+            "gamma_db",
+            id="gamma_db=-4000 mc",
+        ),
+        # A tiny distance overflows the path gain.
+        pytest.param(["coverage", "--d1", "1e-300", "--alpha", "1"], "d1", id="d1=1e-300"),
+    ],
+)
+def test_arithmetic_error_exit_status(capsys, argv, name):
+    code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert name in err
+
+
+def test_below_zero_db_refusal_names_the_caveat(capsys):
+    # Below 0 dB the capture and SIC events overlap, so h1(q1+q2) can pass 1.
+    argv = ["--set", "gamma_db=-6", "coverage", "--d1", "3000", "--alpha", "0.5"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: c1_sic = h1(q1+q2) = 1.029")
+    assert "exceeds 1: below 0 dB capture and SIC are not disjoint" in err
 
 
 @pytest.mark.parametrize(
