@@ -91,20 +91,16 @@ class NetworkConfig:
         if not 0 <= self.duty_cycle < 1:
             raise ValueError(f"duty cycles must lie in [0, 1), got {self.duty_cycle}")
         width = self.radius_m / 6
-        noise_dbm = noise_power_dbm(self.noise_figure_db, self.bandwidth_hz)
         derived = {
             # 6 * width can miss radius_m by an ulp; the edge is radius_m itself.
             "boundaries": (*(i * width for i in range(6)), self.radius_m),
             "wavelength_m": SPEED_OF_LIGHT_M_S / self.carrier_hz,
-            "tx_power_mw": _linear_in_range(
-                self.tx_power_dbm, f"tx_power_dbm={self.tx_power_dbm}"
-            ),
+            "tx_power_mw": _linear_in_range(self.tx_power_dbm, "tx_power_dbm"),
             "noise_power_mw": _linear_in_range(
-                noise_dbm,
-                f"the noise power of {noise_dbm} dBm from noise_figure_db="
-                f"{self.noise_figure_db} and bandwidth_hz={self.bandwidth_hz}",
+                noise_power_dbm(self.noise_figure_db, self.bandwidth_hz),
+                "the noise power in dBm from noise_figure_db and bandwidth_hz",
             ),
-            "gamma": _linear_in_range(self.gamma_db, f"gamma_db={self.gamma_db}"),
+            "gamma": _linear_in_range(self.gamma_db, "gamma_db"),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -118,8 +114,7 @@ def _linear_in_range(value_db: float, what: str) -> float:
         value = math.inf
     if not 0.0 < value < math.inf:
         raise ValueError(
-            f"{what} is {'infinite' if value else '0'} on the linear scale, "
-            "out of floating-point range"
+            f"{what} = {value_db} is {'infinite' if value else '0'} on the linear scale"
         )
     return value
 
