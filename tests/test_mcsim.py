@@ -102,8 +102,22 @@ def test_outcome_counts_invariants_on_random_batch(cfg):
 # Counts behind estimate(2700 m, alpha, 2 * CHUNK_TRIALS + 5 trials), keyed by
 # (gamma_db, alpha, seed): connected, captured, success_c1, success_c1_sic,
 # collisions, singles.  They pin the chunk streams: any change to seeding,
-# chunking, draw order or scoring moves them.
+# chunking, draw order, Poisson inversion or scoring moves them.  At 1 dB
+# they cover the bench loads (0.25, 1, 6.5, 8) and both ends of the
+# intensity range (0 and MAX_ALPHA).
 _RECORDED_COUNTS = {
+    (1.0, 0.0, 7): (30409, 32773, 30409, 30409, 0, 0),
+    (1.0, 0.0, 2024): (30346, 32773, 30346, 30346, 0, 0),
+    (1.0, 0.25, 7): (30409, 28645, 26795, 29052, 7206, 6301),
+    (1.0, 0.25, 2024): (30346, 28689, 26771, 29086, 7259, 6463),
+    (1.0, 1.0, 7): (30409, 19191, 18298, 22534, 20524, 11929),
+    (1.0, 1.0, 2024): (30346, 19140, 18243, 22555, 20657, 12000),
+    (1.0, 6.5, 7): (30409, 1038, 1035, 1157, 32723, 351),
+    (1.0, 6.5, 2024): (30346, 948, 945, 1072, 32709, 326),
+    (1.0, 8.0, 7): (30409, 424, 424, 460, 32763, 96),
+    (1.0, 8.0, 2024): (30346, 440, 439, 477, 32753, 105),
+    (1.0, 10.0, 7): (30409, 153, 153, 157, 32772, 14),
+    (1.0, 10.0, 2024): (30346, 140, 140, 151, 32771, 23),
     (1.0, 0.5, 7): (30409, 25036, 23564, 27122, 12804, 9852),
     (1.0, 0.5, 2024): (30346, 24963, 23482, 27098, 12877, 9946),
     (1.0, 5.0, 7): (30409, 2254, 2233, 2665, 32532, 1176),
@@ -123,7 +137,8 @@ def test_estimate_reproduces_recorded_counts(gamma_db, alpha, seed):
     assert all(est.trials == n for est in marginals)
     singles = report.single_interferer_given_collision
     counts = [round(est.mean * n) for est in marginals]
-    counts += [singles.trials, round(singles.mean * singles.trials)]
+    # With no collision the conditional mean is NaN and its count is 0.
+    counts += [singles.trials, round(singles.mean * singles.trials) if singles.trials else 0]
     assert tuple(counts) == _RECORDED_COUNTS[gamma_db, alpha, seed]
 
 
