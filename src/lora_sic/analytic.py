@@ -125,12 +125,24 @@ def _ring_capture_kernel(
     The kernel does not depend on the interferer intensity, so it is memoized:
     an alpha sweep or a ``plan`` at one d1 evaluates it once per threshold
     instead of once per point.
+
+    Powers of the ring edges and of d1 can leave floating-point range (an
+    ``OverflowError``, or a ``math`` domain ``ValueError`` once the argument
+    of ``hyp2f1_1b`` overflows); either is raised as one ``ValueError`` that
+    names the config keys behind the inputs.
     """
     b = 2.0 / eta
-    d_eta = d1**eta
-    hi_term = l_hi**2 * hyp2f1_1b(b, -gamma_lin * l_hi**eta / d_eta)
-    lo_term = l_lo**2 * hyp2f1_1b(b, -gamma_lin * l_lo**eta / d_eta) if l_lo > 0 else 0.0
-    return (hi_term - lo_term) / (l_hi**2 - l_lo**2)
+    try:
+        d_eta = d1**eta
+        hi_term = l_hi**2 * hyp2f1_1b(b, -gamma_lin * l_hi**eta / d_eta)
+        lo_term = l_lo**2 * hyp2f1_1b(b, -gamma_lin * l_lo**eta / d_eta) if l_lo > 0 else 0.0
+        return (hi_term - lo_term) / (l_hi**2 - l_lo**2)
+    except (ArithmeticError, ValueError) as exc:
+        raise ValueError(
+            f"ring capture kernel out of floating-point range at d1={d1} m, "
+            f"path_loss_exp={eta}, threshold {gamma_lin} (from gamma_db) and "
+            f"ring {l_lo}-{l_hi} m (from radius_m)"
+        ) from exc
 
 
 def _q1(op: _OperatingPoint, alpha_i: float) -> float:

@@ -9,6 +9,7 @@ ring intensity, so no packet timeline is simulated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,10 @@ CHUNK_TRIALS = 1 << 14
 
 #: Poisson inversion is tabulated only up to this intensity.
 MAX_ALPHA = 10.0
+
+#: Buckets of the Poisson inversion table.  A power of two, so that u * B is
+#: exact and its integer part is the bucket that holds u.
+_BUCKETS = 1 << 12
 
 _MASK64 = (1 << 64) - 1
 
@@ -71,18 +76,59 @@ def _poisson_cdf(alpha: float) -> np.ndarray:
     return np.asarray(cdf)
 
 
+@functools.lru_cache(maxsize=64)
+def _poisson_table(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bucketed inversion table (Chen and Asau's indexed search) for alpha.
+
+    Returns read-only ``(cdf, k_lo, straddle)``.  Inversion maps u to
+    k(u) = #{cdf < u}, i.e. ``searchsorted(cdf, u, side="left")``.  For u in
+    bucket b, [b/B, (b+1)/B), k(u) lies between edges[b] and edges[b+1],
+    with edges[b] = k(b/B), because k never decreases as u grows.  So
+    ``k_lo[b] = edges[b]`` is exact wherever the two agree, and only the
+    buckets that ``straddle`` a CDF entry, at most ``len(cdf)`` of them, need
+    the binary search.
+    """
+    cdf = _poisson_cdf(alpha)
+    edges = np.searchsorted(cdf, np.arange(_BUCKETS + 1) / _BUCKETS, side="left")
+    k_lo = edges[:-1]
+    straddle = k_lo != edges[1:]
+    for table in (cdf, k_lo, straddle):
+        table.flags.writeable = False
+    return cdf, k_lo, straddle
+
+
+def _poisson_counts(
+    table: tuple[np.ndarray, np.ndarray, np.ndarray], u: np.ndarray, bucket: np.ndarray
+) -> np.ndarray:
+    """Poisson variates by inverting ``table`` at uniforms u in [0, 1).
+
+    Equal to ``np.searchsorted(cdf, u, side="left")`` element for element.
+    ``bucket`` is an intp buffer of u's length that is overwritten.
+    """
+    cdf, k_lo, straddle = table
+    # Float-to-int casting truncates, and u * B is exact, so this is floor(u B).
+    np.multiply(u, _BUCKETS, out=bucket, casting="unsafe")
+    k = k_lo.take(bucket)
+    fix = np.flatnonzero(straddle.take(bucket))
+    k[fix] = np.searchsorted(cdf, u[fix], side="left")
+    return k
+
+
 def _outcome_counts(
     op: _OperatingPoint,
     k: np.ndarray,
     u_fade: np.ndarray,
     u_dist: np.ndarray,
     u_int_fade: np.ndarray,
+    index: np.ndarray,
 ) -> np.ndarray:
     """Score trials given their interferer counts and uniform variates.
 
     ``k`` and ``u_fade`` (reference fading) hold one entry per trial;
     ``u_dist`` and ``u_int_fade`` hold one entry per interferer, trial by
-    trial, so their length is ``k.sum()``.  Fading powers are -ln(1-u).
+    trial, so their length is ``k.sum()``.  ``index`` is
+    ``np.arange(len(k))``, passed in so that a caller scoring many chunks
+    builds it once.  Fading powers are -ln(1-u).
     Powers are in units of the reference node's mean received power (see
     ``op``), so an interferer whose squared distance follows the ring's
     inverse CDF, D^2 = l_lo^2 + u (l_hi^2 - l_lo^2), arrives with power
@@ -120,25 +166,26 @@ def _outcome_counts(
         np.divide(op.d1 * op.d1, rel_gain, out=rel_gain)
     rel_gain **= op.eta / 2
     weights = np.multiply(h_int, rel_gain, out=h_int)
-    owner = np.repeat(np.arange(n), k)
+    owner = np.repeat(index, k)
     interference = np.bincount(owner, weights=weights, minlength=n)
 
     connected = h >= op.demand
     captured = (k == 0) | (h >= op.gamma * interference)
+    single = k == 1
     # With k == 1 the interference sum is exactly the lone interferer's power.
-    sic = (k == 1) & (interference >= op.gamma * h) & connected
+    sic = single & (interference >= op.gamma * h) & connected
     success_c1 = connected & captured
     success_sic = connected & (captured | sic)
     return np.array(
         [
             n,
-            int(connected.sum()),
-            int(captured.sum()),
-            int(success_c1.sum()),
-            int(success_sic.sum()),
-            int((k >= 1).sum()),
-            int((k == 1).sum()),
-            int((sic & captured).sum()),
+            np.count_nonzero(connected),
+            np.count_nonzero(captured),
+            np.count_nonzero(success_c1),
+            np.count_nonzero(success_sic),
+            np.count_nonzero(k),
+            np.count_nonzero(single),
+            np.count_nonzero(sic & captured),
         ],
         dtype=np.int64,
     )
@@ -159,10 +206,12 @@ class _Scratch:
     a cost that depends on the process's allocation history.
     """
 
-    __slots__ = ("trial", "variates")
+    __slots__ = ("trial", "bucket", "index", "variates")
 
     def __init__(self, n: int) -> None:
         self.trial = np.empty(n)
+        self.bucket = np.empty(n, dtype=np.intp)
+        self.index = np.arange(n)
         self.variates = np.empty((2, 0))
 
     def interferers(self, total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +224,11 @@ class _Scratch:
 
 
 def _chunk_counts(
-    op: _OperatingPoint, cdf: np.ndarray, n: int, chunk_seed: int, scratch: _Scratch
+    op: _OperatingPoint,
+    table: tuple[np.ndarray, np.ndarray, np.ndarray],
+    n: int,
+    chunk_seed: int,
+    scratch: _Scratch,
 ) -> np.ndarray:
     """Outcome counts over one chunk of n trials drawn from its own stream.
 
@@ -184,12 +237,12 @@ def _chunk_counts(
     """
     rng = np.random.Generator(np.random.PCG64(chunk_seed))
     u = scratch.trial[:n]
-    k = np.searchsorted(cdf, rng.random(out=u), side="left")
+    k = _poisson_counts(table, rng.random(out=u), scratch.bucket[:n])
     u_fade = rng.random(out=u)
     u_dist, u_int_fade = scratch.interferers(int(k.sum()))
     rng.random(out=u_dist)
     rng.random(out=u_int_fade)
-    return _outcome_counts(op, k, u_fade, u_dist, u_int_fade)
+    return _outcome_counts(op, k, u_fade, u_dist, u_int_fade, scratch.index[:n])
 
 
 def _estimate_from(successes: int, trials: int) -> McEstimate:
@@ -223,12 +276,12 @@ def estimate(
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     op = _operating_point(d1, cfg)  # validates coverage up front
-    cdf = _poisson_cdf(alpha_i)
+    table = _poisson_table(alpha_i)
     scratch = _Scratch(min(CHUNK_TRIALS, n_trials))
     counts = np.zeros(8, dtype=np.int64)
     for index, start in enumerate(range(0, n_trials, CHUNK_TRIALS)):
         size = min(CHUNK_TRIALS, n_trials - start)
-        counts += _chunk_counts(op, cdf, size, derive_seed(seed, index), scratch)
+        counts += _chunk_counts(op, table, size, derive_seed(seed, index), scratch)
 
     n, connected, captured, c1, c1_sic, collisions, singles, overlap = (
         int(v) for v in counts

@@ -207,6 +207,19 @@ def _at_border(override):
         ),
         # A tiny distance overflows the path gain.
         pytest.param(["coverage", "--d1", "1e-300", "--alpha", "1"], "d1", id="d1=1e-300"),
+        # The ring kernel's powers overflow, or its hyp2f1 argument does.
+        pytest.param(
+            ["--set", "path_loss_exp=150", "coverage", "--d1", "1", "--alpha", "1"],
+            "path_loss_exp",
+            id="path_loss_exp=150 d1=1",
+        ),
+        pytest.param(
+            ["--set", "radius_m=1e200", "coverage", "--d1", "1", "--alpha", "1"],
+            "radius_m",
+            id="radius_m=1e200 d1=1",
+        ),
+        pytest.param(_at_border("gamma_db=3000"), "gamma_db", id="gamma_db=3000"),
+        pytest.param(_at_border("gamma_db=-3000"), "gamma_db", id="gamma_db=-3000"),
     ],
 )
 def test_arithmetic_error_exit_status(capsys, argv, name):

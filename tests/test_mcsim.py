@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from lora_sic.analytic import _operating_point, coverage, default_config
-from lora_sic.mcsim import CHUNK_TRIALS, _outcome_counts, derive_seed, estimate
+from lora_sic.mcsim import (
+    _BUCKETS,
+    CHUNK_TRIALS,
+    _outcome_counts,
+    _poisson_counts,
+    _poisson_table,
+    derive_seed,
+    estimate,
+)
 
 _COUNT_NAMES = (
     "trials", "connected", "captured", "success_c1", "success_c1_sic",
@@ -25,6 +33,7 @@ def _score(op, k, u_fade, u_dist=(), u_int_fade=()):
         np.asarray(u_fade, dtype=float),
         np.asarray(u_dist, dtype=float),
         np.asarray(u_int_fade, dtype=float),
+        np.arange(len(k)),
     )
     return dict(zip(_COUNT_NAMES, counts.tolist()))
 
@@ -97,6 +106,24 @@ def test_outcome_counts_invariants_on_random_batch(cfg):
     assert out["collisions"] == int((k >= 1).sum())
     assert out["singles"] == int((k == 1).sum()) <= out["collisions"]
     assert out["overlap"] == 0  # capture and SIC are disjoint above 0 dB
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.25, 0.5, 1.0, 5.0, 6.5, 8.0, 10.0])
+def test_table_inversion_equals_binary_search(alpha):
+    table = _poisson_table(alpha)
+    assert _poisson_table(alpha) is table  # built once per intensity
+    cdf = table[0]
+    edges = np.arange(_BUCKETS + 1) / _BUCKETS
+    u = np.concatenate([
+        np.random.Generator(np.random.PCG64(31)).random(1 << 20),
+        # Each CDF entry with its neighbours, where k steps.
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+        # Each bucket edge b/B and the double just below it.
+        edges, np.nextafter(edges, 0.0),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]  # the generator's range
+    k = _poisson_counts(table, u, np.empty(len(u), dtype=np.intp))
+    np.testing.assert_array_equal(k, np.searchsorted(cdf, u, side="left"))
 
 
 # Counts behind estimate(2700 m, alpha, 2 * CHUNK_TRIALS + 5 trials), keyed by
