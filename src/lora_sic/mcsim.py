@@ -28,6 +28,9 @@ MAX_ALPHA = 10.0
 #: exact and its integer part is the bucket that holds u.
 _BUCKETS = 1 << 12
 
+#: ``(cdf, k_lo, straddle)``; see :func:`_poisson_table`.
+_PoissonTable = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -77,7 +80,7 @@ def _poisson_cdf(alpha: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _poisson_table(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _poisson_table(alpha: float) -> _PoissonTable:
     """Bucketed inversion table (Chen and Asau's indexed search) for alpha.
 
     Returns read-only ``(cdf, k_lo, straddle)``.  Inversion maps u to
@@ -97,9 +100,7 @@ def _poisson_table(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cdf, k_lo, straddle
 
 
-def _poisson_counts(
-    table: tuple[np.ndarray, np.ndarray, np.ndarray], u: np.ndarray, bucket: np.ndarray
-) -> np.ndarray:
+def _poisson_counts(table: _PoissonTable, u: np.ndarray, bucket: np.ndarray) -> np.ndarray:
     """Poisson variates by inverting ``table`` at uniforms u in [0, 1).
 
     Equal to ``np.searchsorted(cdf, u, side="left")`` element for element.
@@ -224,11 +225,7 @@ class _Scratch:
 
 
 def _chunk_counts(
-    op: _OperatingPoint,
-    table: tuple[np.ndarray, np.ndarray, np.ndarray],
-    n: int,
-    chunk_seed: int,
-    scratch: _Scratch,
+    op: _OperatingPoint, table: _PoissonTable, n: int, chunk_seed: int, scratch: _Scratch
 ) -> np.ndarray:
     """Outcome counts over one chunk of n trials drawn from its own stream.
 
