@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from collections import deque
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +203,7 @@ def _exp_fading(u: np.ndarray) -> np.ndarray:
 
 
 class _Scratch:
-    """Buffers that the chunks of one estimate draw their variates into.
+    """Buffers that one thread's chunks of an estimate draw their variates into.
 
     Fresh per-chunk arrays of a megabyte or more would let the allocator
     return memory to the kernel and fault it back in chunk after chunk, at
@@ -242,6 +245,37 @@ def _chunk_counts(
     return _outcome_counts(op, k, u_fade, u_dist, u_int_fade, scratch.index[:n])
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _count_chunks(
+    op: _OperatingPoint,
+    table: _PoissonTable,
+    n_trials: int,
+    seeds: list[int],
+    pending: deque[int],
+) -> np.ndarray:
+    """Summed counts of the chunks this thread pulls from ``pending``.
+
+    Threads share ``pending`` (``popleft`` is thread-safe), so a thread that
+    runs slowly takes fewer chunks.  Each thread draws into buffers of its own.
+    """
+    scratch = _Scratch(min(CHUNK_TRIALS, n_trials))
+    counts = np.zeros(8, dtype=np.int64)
+    while True:
+        try:
+            index = pending.popleft()
+        except IndexError:
+            return counts
+        size = min(CHUNK_TRIALS, n_trials - index * CHUNK_TRIALS)
+        counts += _chunk_counts(op, table, size, seeds[index], scratch)
+
+
 def _estimate_from(successes: int, trials: int) -> McEstimate:
     if trials == 0:
         return McEstimate(mean=math.nan, trials=0, ci95_halfwidth=math.nan)
@@ -264,8 +298,9 @@ def estimate(
 
     Deterministic for a given seed: trials are cut into fixed chunks of
     :data:`CHUNK_TRIALS`, each driven by its own stream keyed by
-    ``derive_seed(seed, chunk_index)``, and integer counts are merged in
-    chunk order.
+    ``derive_seed(seed, chunk_index)``.  The chunks run on one thread per
+    CPU available to the process, and their integer counts are summed, so
+    the result is the same for any thread count and schedule.
 
     The single-interferer estimate conditions on collision trials, so its
     ``trials`` field is the collision count (NaN mean if none occurred).
@@ -274,11 +309,25 @@ def estimate(
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     op = _operating_point(d1, cfg)  # validates coverage up front
     table = _poisson_table(alpha_i)
-    scratch = _Scratch(min(CHUNK_TRIALS, n_trials))
-    counts = np.zeros(8, dtype=np.int64)
-    for index, start in enumerate(range(0, n_trials, CHUNK_TRIALS)):
-        size = min(CHUNK_TRIALS, n_trials - start)
-        counts += _chunk_counts(op, table, size, derive_seed(seed, index), scratch)
+    # Seeds are derived here, not in the workers, so that every call of the
+    # public derive_seed happens on the caller's thread, where span recorders
+    # that wrap public functions keep their stack.
+    seeds = [derive_seed(seed, index) for index in range(-(-n_trials // CHUNK_TRIALS))]
+    pending = deque(range(len(seeds)))
+    work = (op, table, n_trials, seeds, pending)
+    threads = min(len(seeds), _available_cpus())
+    if threads == 1:
+        counts = _count_chunks(*work)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(_count_chunks, *work) for _ in range(threads)]
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:
+                # After an error or an interrupt, the other threads stop at
+                # their current chunk instead of running the rest.
+                pending.clear()
+            counts = sum(future.result() for future in futures)
 
     n, connected, captured, c1, c1_sic, collisions, singles, overlap = (
         int(v) for v in counts

@@ -1,15 +1,20 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from lora_sic import mcsim
 from lora_sic.analytic import _operating_point, coverage, default_config
 from lora_sic.mcsim import (
     _BUCKETS,
     CHUNK_TRIALS,
+    _chunk_counts,
     _outcome_counts,
     _poisson_counts,
     _poisson_table,
+    _Scratch,
     derive_seed,
     estimate,
 )
@@ -214,3 +219,82 @@ def test_derive_seed_spreads_indices():
     seeds = {derive_seed(42, i) for i in range(1000)}
     assert len(seeds) == 1000
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+def _serial_counts(d1, cfg, alpha, n, seed):
+    """Counts of every chunk in index order on one scratch: the reference fold."""
+    op, table, scratch = _operating_point(d1, cfg), _poisson_table(alpha), _Scratch(CHUNK_TRIALS)
+    total = np.zeros(8, dtype=np.int64)
+    for index, start in enumerate(range(0, n, CHUNK_TRIALS)):
+        size = min(CHUNK_TRIALS, n - start)
+        total += _chunk_counts(op, table, size, derive_seed(seed, index), scratch)
+    return total[:7].tolist()
+
+
+def _report_counts(report):
+    """[trials, connected, captured, success_c1, success_c1_sic, collisions, singles]."""
+    n = report.connected.trials
+    marginals = (report.connected, report.captured, report.success_c1, report.success_c1_sic)
+    singles = report.single_interferer_given_collision
+    return [n, *(round(est.mean * n) for est in marginals), singles.trials,
+            round(singles.mean * singles.trials) if singles.trials else 0]
+
+
+@pytest.mark.parametrize("seed", [5, 2**63 + 11])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0, 8.0, 10.0])
+def test_thread_count_moves_no_count(cfg, monkeypatch, alpha, seed):
+    # More threads than this machine has CPUs, and a short switch interval,
+    # so the threads interleave often while they pull chunks.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n in (1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS + 17, 10**5):
+            reprs = set()
+            for threads in (1, 2, 3, 5):
+                monkeypatch.setattr(mcsim, "_available_cpus", lambda threads=threads: threads)
+                report = estimate(2700.0, cfg, alpha, n, seed=seed)
+                reprs.add(repr(report))
+            assert len(reprs) == 1, (n, reprs)
+            assert _report_counts(report) == _serial_counts(2700.0, cfg, alpha, n, seed)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_chunk_seeds_are_derived_on_the_calling_thread(cfg, monkeypatch, threads):
+    callers = []
+
+    def recording_derive_seed(seed, index):
+        callers.append(threading.get_ident())
+        return derive_seed(seed, index)
+
+    monkeypatch.setattr(mcsim, "derive_seed", recording_derive_seed)
+    monkeypatch.setattr(mcsim, "_available_cpus", lambda: threads)
+    n = 6 * CHUNK_TRIALS + 3
+    estimate(3000.0, cfg, 1.0, n, seed=8)
+    assert len(callers) == -(-n // CHUNK_TRIALS)
+    assert set(callers) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_failing_chunk_fails_the_estimate_and_leaves_no_thread(cfg, monkeypatch, threads):
+    calls = []
+    lock = threading.Lock()
+
+    def failing_chunk_counts(*args):
+        with lock:
+            calls.append(None)
+            fifth = len(calls) == 5
+        if fifth:
+            raise RuntimeError("fifth chunk failed")
+        return _chunk_counts(*args)
+
+    monkeypatch.setattr(mcsim, "_chunk_counts", failing_chunk_counts)
+    monkeypatch.setattr(mcsim, "_available_cpus", lambda: threads)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^fifth chunk failed$"):
+        estimate(3000.0, cfg, 1.0, 200 * CHUNK_TRIALS, seed=3)
+    assert threading.active_count() == before
+    # The other threads stop soon after the failure instead of running the
+    # rest of the 200 chunks.
+    assert len(calls) < 50
