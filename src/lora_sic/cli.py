@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields
@@ -93,6 +94,8 @@ def parse_config(text: str) -> NetworkConfig:
 
 
 def _fmt(value: object) -> str:
+    if type(value) is float:  # nearly every cell: skip the isinstance chain
+        return format(value, ".10g")
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -269,7 +272,10 @@ def _cmd_plan(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args returns a fresh Namespace each time,
+    # and --set's append action copies its default list before adding to it.
     parser = _Parser(
         prog="lora-sic",
         description="Coverage probabilities for LoRa uplinks with SIC at the gateway.",
@@ -367,7 +373,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (
-        ValueError, ArithmeticError, OutOfCoverageError, InfeasibleTargetError, ConvergenceError
+        ValueError, ArithmeticError, OutOfCoverageError, InfeasibleTargetError, ConvergenceError,
+        OSError,  # an unreadable --config or unwritable --output; the message names the path
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ nonpositive argument is supported.
 
 from __future__ import annotations
 
+import functools
 import math
 
 
@@ -56,12 +57,14 @@ def hyp2f1_1b(b: float, z: float) -> float:
 
 def _series_direct(b: float, z: float) -> float:
     # sum_k  b/(b+k) z^k
+    rel_eps = _REL_EPS
     total = 1.0
     term = 1.0
     for k in range(_MAX_TERMS):
-        term *= z * (b + k) / (b + k + 1.0)
+        bk = b + k
+        term *= z * bk / (bk + 1.0)
         total += term
-        if abs(term) < _REL_EPS * abs(total):
+        if abs(term) < rel_eps * abs(total):
             return total
     raise ConvergenceError(f"direct series stalled at b={b}, z={z}")
 
@@ -70,12 +73,14 @@ def _series_pfaff(b: float, z: float) -> float:
     # Pfaff transform: 2F1(1,b;1+b;z) = (1-z)^-1 2F1(1,1;1+b;w), w = z/(z-1),
     # with 2F1(1,1;1+b;w) = sum_k k!/(1+b)_k w^k.
     w = z / (z - 1.0)
+    rel_eps = _REL_EPS
     total = 1.0
     term = 1.0
     for k in range(_MAX_TERMS):
-        term *= w * (k + 1.0) / (k + 1.0 + b)
+        k1 = k + 1.0
+        term *= w * k1 / (k1 + b)
         total += term
-        if term < _REL_EPS * total:
+        if term < rel_eps * total:
             return total / (1.0 - z)
     raise ConvergenceError(f"Pfaff series stalled at b={b}, z={z}")
 
@@ -85,7 +90,10 @@ def _reflect_large_z(b: float, z: float) -> float:
     # incomplete beta and splitting at the complementary endpoint:
     #   F = b s^-b [ pi/sin(pi b) - sum_{j>=0} (e)_j / (j! (j+e)) y^{j+e} ]
     # with s = -z, y = 1/(1+s), e = 1-b.  The j = 0 term is paired with the
-    # pi/sin pole analytically so b -> 1 stays finite.
+    # pi/sin pole analytically so b -> 1 stays finite.  That pole term
+    # depends on b alone, and a sweep evaluates many z at one eta, so
+    # _csc_minus_pole is memoized: below e = 0.3 (eta < 2.86, the default
+    # 2.8 included) it sums a sine series on every call otherwise.
     s = -z
     y = 1.0 / (1.0 + s)
     e = 1.0 - b
@@ -96,7 +104,8 @@ def _reflect_large_z(b: float, z: float) -> float:
     tail = 0.0
     term = y * e / (1.0 + e)  # j = 1 term of sum (e)_j/(j!(j+e)) y^j
     j = 1.0
-    while term > _REL_EPS * max(bracket, 1e-300):
+    limit = _REL_EPS * max(bracket, 1e-300)
+    while term > limit:
         tail += term
         term *= y * (e + j) ** 2 / ((j + 1.0) * (j + 1.0 + e))
         j += 1.0
@@ -105,6 +114,7 @@ def _reflect_large_z(b: float, z: float) -> float:
     return b * s**-b * (bracket - y_pow_e * tail)
 
 
+@functools.lru_cache(maxsize=64)
 def _csc_minus_pole(e: float) -> float:
     """pi/sin(pi*e) - 1/e, stable for small e.
 

@@ -261,6 +261,23 @@ def test_non_finite_input_names_the_option(capsys, argv, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "option, name",
+    [("--config", "missing.cfg"), ("--config", ""), ("--output", "missing/x.csv"),
+     ("--output", "")],
+    ids=["missing config", "config is a directory", "output in a missing directory",
+         "output is a directory"],
+)
+def test_file_error_exits_two_naming_the_path(tmp_path, capsys, option, name):
+    path = tmp_path / name
+    code, out, err = _run(capsys, [option, str(path), "coverage", "--d1", "3000", "--alpha", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert str(path) in err
+
+
 # --- output stability -------------------------------------------------------
 
 def test_csv_bytes_stable_across_runs(tmp_path):

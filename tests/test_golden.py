@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from lora_sic.cli import main
+from lora_sic.cli import _build_parser, main
 
 CASES = json.loads((Path(__file__).with_name("golden_cli.json")).read_text(encoding="utf-8"))
 
@@ -33,3 +33,13 @@ def test_cli_output_matches_golden_bytes(case, capsys):
     status = main(case["argv"])
     out, err = capsys.readouterr()
     assert (out, err, status) == (case["stdout"], case["stderr"], case["status"])
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys):
+    # main builds its parser once per process; every later call, in any
+    # order, must still print what a fresh process prints.
+    assert _build_parser() is _build_parser()
+    for case in CASES + CASES[::-1]:
+        status = main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (out, err, status) == (case["stdout"], case["stderr"], case["status"]), case["argv"]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -157,3 +158,134 @@ def test_quadrature_argument_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         q2_integral_quadrature(**base)
+
+
+# --- bit identity with the reference evaluation ---------------------------
+#
+# Verbatim copies of the series as they stood before the hot loops were
+# tightened (named subexpressions, a local epsilon, a hoisted loop bound, a
+# memoized pole term).  Those edits keep every floating-point operation and
+# its order, so hyp2f1_1b must equal this reference exactly, not just to a
+# tolerance: a regrouped product such as z * (bk / (bk + 1.0)) moves the last
+# bit of some values and fails here.  Both sides run on the same libm.
+
+_REF_MAX_TERMS = 100_000
+_REF_REL_EPS = 1e-16
+
+
+def _ref_hyp2f1_1b(b, z):
+    if z == 0.0:
+        return 1.0
+    if b == 1.0:
+        return -math.log1p(-z) / z
+    if z >= -0.5:
+        return _ref_series_direct(b, z)
+    if z >= -1.5:
+        return _ref_series_pfaff(b, z)
+    return _ref_reflect_large_z(b, z)
+
+
+def _ref_series_direct(b, z):
+    total = 1.0
+    term = 1.0
+    for k in range(_REF_MAX_TERMS):
+        term *= z * (b + k) / (b + k + 1.0)
+        total += term
+        if abs(term) < _REF_REL_EPS * abs(total):
+            return total
+    raise AssertionError("reference direct series stalled")
+
+
+def _ref_series_pfaff(b, z):
+    w = z / (z - 1.0)
+    total = 1.0
+    term = 1.0
+    for k in range(_REF_MAX_TERMS):
+        term *= w * (k + 1.0) / (k + 1.0 + b)
+        total += term
+        if term < _REF_REL_EPS * total:
+            return total / (1.0 - z)
+    raise AssertionError("reference Pfaff series stalled")
+
+
+def _ref_reflect_large_z(b, z):
+    s = -z
+    y = 1.0 / (1.0 + s)
+    e = 1.0 - b
+    log_y = math.log(y)
+    bracket = _ref_csc_minus_pole(e) - math.expm1(e * log_y) / e
+    y_pow_e = math.exp(e * log_y)
+
+    tail = 0.0
+    term = y * e / (1.0 + e)
+    j = 1.0
+    while term > _REF_REL_EPS * max(bracket, 1e-300):
+        tail += term
+        term *= y * (e + j) ** 2 / ((j + 1.0) * (j + 1.0 + e))
+        j += 1.0
+        if j > _REF_MAX_TERMS:
+            raise AssertionError("reference reflection series stalled")
+    return b * s**-b * (bracket - y_pow_e * tail)
+
+
+def _ref_csc_minus_pole(e):
+    if e >= 0.3:
+        return math.pi / math.sin(math.pi * e) - 1.0 / e
+    x = math.pi * e
+    x2 = x * x
+    num = 0.0
+    term = x
+    for k in range(1, 30):
+        term *= -x2 / ((2 * k) * (2 * k + 1))
+        num -= term
+        if abs(term) < 1e-20 * max(abs(num), 1e-300):
+            break
+    return num / (e * math.sin(x))
+
+
+def _seeded_points(count):
+    """(b, z) with eta = 2/b in [2.0001, 8], a third of them in each branch.
+
+    Half the etas come from a short list, the benchmark's 2.8 among them, so
+    that the memoized pole term is read back as well as computed.
+    """
+    rng = random.Random(20261019)
+    etas = (2.0001, 2.2, 2.8, 2.85, 3.5, 4.0, 6.0, 8.0)
+    points = []
+    for i in range(count):
+        eta = rng.choice(etas) if i % 2 else rng.uniform(2.0001, 8.0)
+        branch = i % 3
+        if branch == 0:
+            z = -(10.0 ** rng.uniform(-8.0, math.log10(0.5)))
+        elif branch == 1:
+            z = -rng.uniform(0.5, 1.5)
+        else:
+            z = -(10.0 ** rng.uniform(math.log10(1.5), 14.0))
+        points.append((2.0 / eta, z))
+    return points
+
+
+def test_bit_identical_to_reference_at_seeded_points():
+    mismatches = [
+        (b, z) for b, z in _seeded_points(100_000) if hyp2f1_1b(b, z) != _ref_hyp2f1_1b(b, z)
+    ]
+    assert not mismatches, f"{len(mismatches)} points differ, first {mismatches[:3]}"
+
+
+@pytest.mark.parametrize("cutover", [-0.5, -1.5])
+def test_bit_identical_to_reference_around_the_branch_cutovers(cutover):
+    zs = [cutover]
+    for toward in (0.0, -math.inf):
+        z = cutover
+        for _ in range(3):
+            z = math.nextafter(z, toward)
+            zs.append(z)
+    for eta in (2.0001, 2.8, 2.85, 4.0, 8.0):
+        b = 2.0 / eta
+        for z in zs:
+            assert hyp2f1_1b(b, z) == _ref_hyp2f1_1b(b, z), f"b={b} z={z!r}"
+
+
+def test_bit_identical_to_reference_at_b_one():
+    for z in [-1e-8, -0.25, -0.5, -1.0, -1.5, -10.0, -1e6, -1e14]:
+        assert hyp2f1_1b(1.0, z) == _ref_hyp2f1_1b(1.0, z), f"z={z}"
