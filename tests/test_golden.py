@@ -14,8 +14,11 @@ before the scenario became one flat ``NetworkConfig``: every config-value
 error, the one that fires first when two values are bad, an unknown key
 (``capture_threshold_db`` included, the library's old spelling of
 ``gamma_db``), a negative ``--nbar``, and a d1 sweep in a 1234.5 m cell up to
-its edge.  Change a record only for an intended output change, and say which
-and why in CHANGES.md.
+its edge.  The five after those pin which error a sweep prints when its first
+point fails (a gamma_db off the linear scale, a kernel overflow, a d1 outside
+the cell on an alpha and on a gamma_db sweep, a negative ``--nbar``), taken
+before operating points were memoized.  Change a record only for an intended
+output change, and say which and why in CHANGES.md.
 """
 
 import json
