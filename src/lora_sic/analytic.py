@@ -87,7 +87,14 @@ class _OperatingPoint(NamedTuple):
         return _ring_capture_kernel(self.d1, threshold, self.eta, self.l_lo, self.l_hi)
 
 
+@functools.lru_cache(maxsize=256)
 def _operating_point(d1: float, cfg: NetworkConfig) -> _OperatingPoint:
+    # Memoized: an alpha sweep, a plan and an MC estimate each ask for one
+    # (d1, cfg) many times.  NetworkConfig is frozen and hashes its nine
+    # fields, from which every derived field follows, so equal configs give
+    # equal points; an error is raised again on every call, never cached.
+    # The cap covers the repeats within one command; it is not meant to keep
+    # points from one command to the next.
     ring = ring_of(d1, cfg)
     q_lin = db_to_linear(default_sf_table()[ring - 1].snr_threshold_db)
     try:

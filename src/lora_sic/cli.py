@@ -115,15 +115,30 @@ _SWEEP_HEADER = ["x", "h1", "q1", "q2", "c1", "c1_sic"]
 _MC_HEADER = ["mc_c1", "mc_c1_ci95", "mc_c1_sic", "mc_c1_sic_ci95"]
 
 
+def _row_template(cells: int) -> str:
+    # Every cell of a sweep row is a float (an MC cell may be a numpy float),
+    # which "%.10g" prints exactly as _fmt does: one % per row, not one _fmt
+    # call per cell.
+    return ",".join(["%.10g"] * cells) + "\n"
+
+
+_SWEEP_ROW = _row_template(len(_SWEEP_HEADER))
+_SWEEP_MC_ROW = _row_template(len(_SWEEP_HEADER) + len(_MC_HEADER))
+
+
 def _emit_sweep_rows(out: IO[str], rows, with_mc: bool) -> None:
-    header = _SWEEP_HEADER + (_MC_HEADER if with_mc else [])
-    table = []
-    for r in rows:
-        record = [r.x, r.h1, r.q1, r.q2, r.c1, r.c1_sic]
-        if with_mc:
-            record += [r.mc_c1, r.mc_c1_ci95, r.mc_c1_sic, r.mc_c1_sic_ci95]
-        table.append(record)
-    _write_csv(out, header, table)
+    if with_mc:
+        out.write(",".join(_SWEEP_HEADER + _MC_HEADER) + "\n")
+        out.writelines(
+            _SWEEP_MC_ROW % (r.x, r.h1, r.q1, r.q2, r.c1, r.c1_sic,
+                             r.mc_c1, r.mc_c1_ci95, r.mc_c1_sic, r.mc_c1_sic_ci95)
+            for r in rows
+        )
+    else:
+        out.write(",".join(_SWEEP_HEADER) + "\n")
+        out.writelines(
+            _SWEEP_ROW % (r.x, r.h1, r.q1, r.q2, r.c1, r.c1_sic) for r in rows
+        )
 
 
 def _cmd_table1(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
@@ -264,7 +279,9 @@ def _emit_capacity(out: IO[str], rows: list[CapacityRow]) -> None:
 def _cmd_plan(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
     alpha_star = find_alpha_for_target(args.target, args.d1, cfg, with_sic=args.sic)
     if alpha_star > 0:
-        nodes = capacity_table([alpha_star], default_sf_table())[0]
+        # Count nodes from the alpha* the row prints, so that a reader who
+        # rounds printed alpha*/(2 duty) half up gets the printed counts.
+        nodes = capacity_table([float(_fmt(alpha_star))], default_sf_table())[0]
     else:
         nodes = CapacityRow(alpha=0.0, nodes=(0,) * 6, total=0)
     header = ["target", "with_sic", "alpha_star"] + [f"n_sf{sf}" for sf in range(7, 13)] + ["total"]

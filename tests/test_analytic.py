@@ -271,3 +271,38 @@ def test_alpha_sweep_evaluates_each_ring_kernel_once(cfg, monkeypatch):
     assert len(rows) == 100
     # Two kernels (thresholds gamma and 1/gamma), two hypergeometric terms each.
     assert len(calls) <= 4
+
+
+# --- the operating-point memo ------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["gamma_db", "tx_power_dbm"])
+def test_equal_configs_built_apart_share_one_operating_point(field):
+    """Equal configs hash alike, so the memo may serve one for the other:
+    that is sound only if each, built fresh, gives the very same point
+    (compared by repr, which tells 0.0 from -0.0)."""
+    plus, minus = default_config(**{field: 0.0}), default_config(**{field: -0.0})
+    assert plus is not minus and plus == minus and hash(plus) == hash(minus)
+    for d1 in (250.0, 1700.0, 3000.0):
+        fresh = [analytic._operating_point.__wrapped__(d1, c) for c in (plus, minus)]
+        assert repr(fresh[0]) == repr(fresh[1])
+        assert repr(analytic._operating_point(d1, minus)) == repr(fresh[1])
+        assert analytic._operating_point(d1, plus) is analytic._operating_point(d1, minus)
+
+
+@pytest.mark.parametrize(
+    "d1, values, error",
+    [
+        (99999.0, {}, OutOfCoverageError),
+        (1e-300, {}, ValueError),  # mean received power overflows
+    ],
+)
+def test_operating_point_that_raises_is_not_cached(d1, values, error):
+    cfg = default_config(**values)
+    before = analytic._operating_point.cache_info()
+    for _ in range(2):
+        with pytest.raises(error):
+            analytic._operating_point(d1, cfg)
+    after = analytic._operating_point.cache_info()
+    # The second call recomputed (and raised again) rather than hit.
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)

@@ -1,8 +1,14 @@
+import io
+import math
+import random
+
+import numpy as np
 import pytest
 
-from lora_sic.analytic import default_config
-from lora_sic.cli import main, parse_config
-from lora_sic.params import NetworkConfig
+from lora_sic.analytic import coverage, default_config
+from lora_sic.cli import _MC_HEADER, _SWEEP_HEADER, _emit_sweep_rows, _write_csv, main, parse_config
+from lora_sic.experiments import SweepRow
+from lora_sic.params import NetworkConfig, default_sf_table
 
 
 def _run(capsys, argv):
@@ -119,6 +125,37 @@ def test_plan_reports_intensity_and_capacity(capsys):
     assert header[:3] == ["target", "with_sic", "alpha_star"]
     assert rows[0][1] == "1"
     assert float(rows[0][2]) == pytest.approx(0.5096, abs=1e-3)
+
+
+def test_plan_counts_follow_from_the_printed_alpha(capsys, cfg):
+    """Each n_sf is the printed alpha* over twice the SF's duty cycle, rounded
+    half up, as a reader of the row would compute it.
+
+    Most targets are built so that alpha* lands within a few ulps of a
+    half-way count for one SF, where rounding the unprinted alpha* could give
+    the other neighbour; the rest are plain random targets, with and without
+    SIC.
+    """
+    duties = [row.duty_cycle for row in default_sf_table()]
+    rng = random.Random(17)
+    for i in range(2000):
+        ring = rng.randint(1, 6)
+        d1 = round(500.0 * (ring - 1) + rng.uniform(100.0, 500.0), 3)
+        with_sic = i % 4 == 3
+        if with_sic:
+            target = round(rng.uniform(0.45, 0.9) * coverage(d1, cfg, 0.0).h1, 6)
+        else:
+            two_duty = 2.0 * rng.choice(duties)
+            half_way = two_duty * (math.floor(rng.uniform(0.05, 5.0) / two_duty) + 0.5)
+            target = coverage(d1, cfg, float(f"{half_way:.10g}")).c1
+        argv = ["plan", "--target", repr(target), "--d1", repr(d1)] + (["--sic"] * with_sic)
+        code, out, _ = _run(capsys, argv)
+        assert code == 0, argv
+        _, [row] = _rows(out)
+        alpha_star = float(row[2])
+        expected = [math.floor(alpha_star / (2.0 * duty) + 0.5) for duty in duties]
+        assert [int(n) for n in row[3:9]] == expected, argv
+        assert int(row[9]) == sum(expected), argv
 
 
 def test_gamma_override_changes_capture(capsys):
@@ -310,3 +347,20 @@ def test_sweep_step_too_small_is_refused_before_the_grid_is_built(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: a grid from 100.0 to 3000.0 by 1e-09 would exceed 1000000 points\n"
+
+
+def test_sweep_row_template_prints_what_fmt_prints():
+    """The one-template row writer against _write_csv, which formats each
+    cell with _fmt, on edge values and on numpy floats as MC cells carry."""
+    edge = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e21, 1e22,
+            -1e21, 1234567890.5, 0.1, 2.0 / 3.0, 1.0, 3000.0, 0.9041341309352110]
+    rows = []
+    for i in range(len(edge)):
+        cells = [edge[(i + k) % len(edge)] for k in range(10)]
+        rows.append(SweepRow(*cells[:6], *(np.float64(c) for c in cells[6:])))
+    for with_mc in (False, True):
+        header = _SWEEP_HEADER + (_MC_HEADER if with_mc else [])
+        got, want = io.StringIO(), io.StringIO()
+        _emit_sweep_rows(got, rows, with_mc=with_mc)
+        _write_csv(want, header, [[getattr(r, name) for name in header] for r in rows])
+        assert got.getvalue() == want.getvalue()

@@ -17,8 +17,12 @@ error, the one that fires first when two values are bad, an unknown key
 its edge.  The five after those pin which error a sweep prints when its first
 point fails (a gamma_db off the linear scale, a kernel overflow, a d1 outside
 the cell on an alpha and on a gamma_db sweep, a negative ``--nbar``), taken
-before operating points were memoized.  Change a record only for an intended
-output change, and say which and why in CHANGES.md.
+before operating points were memoized.  Then two ``plan`` rows whose node
+counts used to be rounded from the unprinted alpha* and were one off from the
+printed one, now counted from the printed alpha*, and a gamma_db sweep with
+Monte Carlo columns taken before sweep rows were written through one format
+template.  Change a record only for an intended output change, and say which
+and why in CHANGES.md.
 """
 
 import json

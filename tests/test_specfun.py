@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
-from lora_sic.specfun import hyp2f1_1b
+from lora_sic import specfun
+from lora_sic.specfun import ConvergenceError, hyp2f1_1b
 from quadrature import q2_integral_quadrature
 
 # Arguments spanning all three evaluation branches.
@@ -289,3 +290,37 @@ def test_bit_identical_to_reference_around_the_branch_cutovers(cutover):
 def test_bit_identical_to_reference_at_b_one():
     for z in [-1e-8, -0.25, -0.5, -1.0, -1.5, -10.0, -1e6, -1e14]:
         assert hyp2f1_1b(1.0, z) == _ref_hyp2f1_1b(1.0, z), f"z={z}"
+
+
+# --- the per-b ratio tables -------------------------------------------------
+
+# Where each series converges slowest: the far end of its branch.
+_SLOWEST_Z = (-0.5, math.nextafter(-0.5, -math.inf), -1.5, math.nextafter(-1.5, -math.inf))
+_FINE_B = [i / 2000 for i in range(1, 2000)] + [1e-300, 1e-12, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]
+
+
+def test_factor_tables_cover_every_cutover_on_a_fine_b_grid():
+    for b in _FINE_B:
+        for z in _SLOWEST_Z:
+            assert hyp2f1_1b(b, z) == _ref_hyp2f1_1b(b, z), f"b={b} z={z!r}"
+
+
+def test_measured_term_bounds_suffice(monkeypatch):
+    # The bounds the specfun module comment states, as table entries read.
+    for name, entries in (("_direct_factors", 48), ("_pfaff_factors", 71), ("_reflect_factors", 34)):
+        full = getattr(specfun, name)
+        monkeypatch.setattr(specfun, name, lambda x, full=full, entries=entries: full(x)[:entries])
+    for b in _FINE_B[::7]:
+        for z in _SLOWEST_Z:
+            assert hyp2f1_1b(b, z) == _ref_hyp2f1_1b(b, z), f"b={b} z={z!r}"
+
+
+@pytest.mark.parametrize(
+    "series, z",
+    [("_series_direct", -0.99), ("_series_pfaff", -1e6), ("_reflect_large_z", -0.01)],
+)
+def test_series_that_outruns_its_table_raises(series, z):
+    # Each z lies outside its series' branch, where thousands of terms would
+    # be needed; the loop must refuse rather than return a partial sum.
+    with pytest.raises(ConvergenceError, match="stalled"):
+        getattr(specfun, series)(2.0 / 2.8, z)
