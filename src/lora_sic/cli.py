@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import sys
 from dataclasses import fields
 from typing import IO, Sequence
@@ -115,30 +116,14 @@ _SWEEP_HEADER = ["x", "h1", "q1", "q2", "c1", "c1_sic"]
 _MC_HEADER = ["mc_c1", "mc_c1_ci95", "mc_c1_sic", "mc_c1_sic_ci95"]
 
 
-def _row_template(cells: int) -> str:
-    # Every cell of a sweep row is a float (an MC cell may be a numpy float),
-    # which "%.10g" prints exactly as _fmt does: one % per row, not one _fmt
-    # call per cell.
-    return ",".join(["%.10g"] * cells) + "\n"
-
-
-_SWEEP_ROW = _row_template(len(_SWEEP_HEADER))
-_SWEEP_MC_ROW = _row_template(len(_SWEEP_HEADER) + len(_MC_HEADER))
-
-
 def _emit_sweep_rows(out: IO[str], rows, with_mc: bool) -> None:
-    if with_mc:
-        out.write(",".join(_SWEEP_HEADER + _MC_HEADER) + "\n")
-        out.writelines(
-            _SWEEP_MC_ROW % (r.x, r.h1, r.q1, r.q2, r.c1, r.c1_sic,
-                             r.mc_c1, r.mc_c1_ci95, r.mc_c1_sic, r.mc_c1_sic_ci95)
-            for r in rows
-        )
-    else:
-        out.write(",".join(_SWEEP_HEADER) + "\n")
-        out.writelines(
-            _SWEEP_ROW % (r.x, r.h1, r.q1, r.q2, r.c1, r.c1_sic) for r in rows
-        )
+    header = _SWEEP_HEADER + (_MC_HEADER if with_mc else [])
+    # Every cell is a float (an MC cell may be a numpy float), which "%.10g"
+    # prints exactly as _fmt does: one % per row, not one _fmt call per cell.
+    template = ",".join(["%.10g"] * len(header)) + "\n"
+    cells = operator.attrgetter(*header)  # the header names SweepRow's fields
+    out.write(",".join(header) + "\n")
+    out.writelines(template % cells(r) for r in rows)
 
 
 def _cmd_table1(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
