@@ -60,14 +60,16 @@ def hyp2f1_1b(b: float, z: float) -> float:
 
 
 def _series_direct(b: float, z: float) -> float:
-    # sum_k  b/(b+k) z^k
+    # sum_k  b/(b+k) z^k.  For -1 < z < 0 the terms alternate and shrink:
+    # every partial sum lies in [1 + z/2, 1], so |total| is total itself.
     rel_eps = _REL_EPS
     total = 1.0
     term = 1.0
     for bk, bk1 in _direct_factors(b):
         term *= z * bk / bk1
         total += term
-        if abs(term) < rel_eps * abs(total):
+        tol = rel_eps * total
+        if -tol < term < tol:
             return total
     raise ConvergenceError(f"direct series stalled at b={b}, z={z}")
 
