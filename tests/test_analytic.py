@@ -291,14 +291,13 @@ def test_equal_configs_built_apart_share_one_operating_point(field):
 
 
 @pytest.mark.parametrize(
-    "d1, values, error",
+    "d1, error",
     [
-        (99999.0, {}, OutOfCoverageError),
-        (1e-300, {}, ValueError),  # mean received power overflows
+        (99999.0, OutOfCoverageError),
+        (1e-300, ValueError),  # mean received power overflows
     ],
 )
-def test_operating_point_that_raises_is_not_cached(d1, values, error):
-    cfg = default_config(**values)
+def test_operating_point_that_raises_is_not_cached(cfg, d1, error):
     before = analytic._operating_point.cache_info()
     for _ in range(2):
         with pytest.raises(error):
