@@ -8,12 +8,9 @@ dependencies, sweep/capacity/planning experiments and a CSV-emitting CLI.
 
 from .analytic import (
     CoverageBreakdown,
-    capture_probability,
-    connection_probability,
     coverage,
     default_config,
     path_loss_gain,
-    sic_capture_probability,
     single_interferer_given_collision,
 )
 from .experiments import (
@@ -39,8 +36,6 @@ from .params import (
     SfParams,
     db_to_linear,
     default_sf_table,
-    duty_cycle_from_toa,
-    linear_to_db,
     noise_power_dbm,
 )
 from .specfun import ConvergenceError, hyp2f1_1b
@@ -61,25 +56,20 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "capacity_table",
-    "capture_probability",
-    "connection_probability",
     "coverage",
     "db_to_linear",
     "default_config",
     "default_sf_table",
-    "duty_cycle_from_toa",
     "estimate",
     "find_alpha_for_target",
     "hyp2f1_1b",
     "interferer_intensity",
-    "linear_to_db",
     "nodes_from_alpha",
     "noise_power_dbm",
     "path_loss_gain",
     "resolve_intensity",
     "ring_area",
     "ring_of",
-    "sic_capture_probability",
     "single_interferer_given_collision",
     "sweep",
 ]

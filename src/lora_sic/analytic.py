@@ -42,9 +42,6 @@ class CoverageBreakdown:
     q2: float
     c1: float
     c1_sic: float
-    alpha_i: float
-    ring: int
-    d1: float
 
     def __post_init__(self) -> None:
         if self.c1_sic > 1.0:
@@ -111,13 +108,6 @@ def _operating_point(d1: float, cfg: NetworkConfig) -> _OperatingPoint:
     return _OperatingPoint(d1, ring, l_lo, l_hi, cfg.gamma, cfg.path_loss_exp, demand)
 
 
-def _check_intensity(alpha_i: float) -> None:
-    if not math.isfinite(alpha_i):
-        raise ValueError(f"alpha_i must be finite, got {alpha_i}")
-    if alpha_i < 0:
-        raise ValueError(f"alpha_i must be nonnegative, got {alpha_i}")
-
-
 @functools.lru_cache(maxsize=1024)
 def _ring_capture_kernel(
     d1: float, gamma_lin: float, eta: float, l_lo: float, l_hi: float
@@ -153,42 +143,17 @@ def _ring_capture_kernel(
 
 
 def _q1(op: _OperatingPoint, alpha_i: float) -> float:
+    # The Laplace functional of the faded PPP interference under the capture
+    # threshold: exp(-alpha E[gamma d1^eta / (gamma d1^eta + D^eta)]).
     # Suppressing one interferer at D is winning the pairwise comparison at
     # threshold 1/gamma with the roles of the two nodes swapped.
     return math.exp(-alpha_i * op.kernel(1.0 / op.gamma)) if alpha_i else 1.0
 
 
 def _q2(op: _OperatingPoint, alpha_i: float) -> float:
+    # Exactly one interferer (alpha e^-alpha) that is itself capturable, so
+    # the gateway decodes and cancels it, then recovers the reference.
     return alpha_i * math.exp(-alpha_i) * op.kernel(op.gamma) if alpha_i else 0.0
-
-
-def connection_probability(d1: float, cfg: NetworkConfig) -> float:
-    """Probability the faded reference signal clears its SF's SNR threshold."""
-    return math.exp(-_operating_point(d1, cfg).demand)
-
-
-def capture_probability(d1: float, cfg: NetworkConfig, alpha_i: float) -> float:
-    """Probability the reference signal survives the ring's PPP interference.
-
-    Laplace functional of the faded interference under the capture
-    threshold: exp(-alpha * E[gamma d1^eta / (gamma d1^eta + D^eta)]), the
-    expectation running over the ring distance density.
-    """
-    op = _operating_point(d1, cfg)
-    _check_intensity(alpha_i)
-    return _q1(op, alpha_i)
-
-
-def sic_capture_probability(d1: float, cfg: NetworkConfig, alpha_i: float) -> float:
-    """Probability that exactly one interferer arrives and is itself capturable.
-
-    The gateway can then decode the interferer, cancel it, and recover the
-    reference signal; the Poisson cardinality contributes alpha*e^-alpha and
-    the geometry the mean pairwise capture factor.
-    """
-    op = _operating_point(d1, cfg)
-    _check_intensity(alpha_i)
-    return _q2(op, alpha_i)
 
 
 def coverage(d1: float, cfg: NetworkConfig, alpha_i: float) -> CoverageBreakdown:
@@ -198,20 +163,14 @@ def coverage(d1: float, cfg: NetworkConfig, alpha_i: float) -> CoverageBreakdown
     the scenario's ``nbar`` and ``duty_cycle`` when no intensity is given.
     """
     op = _operating_point(d1, cfg)
-    _check_intensity(alpha_i)
+    if not math.isfinite(alpha_i):
+        raise ValueError(f"alpha_i must be finite, got {alpha_i}")
+    if alpha_i < 0:
+        raise ValueError(f"alpha_i must be nonnegative, got {alpha_i}")
     h1 = math.exp(-op.demand)
     q1 = _q1(op, alpha_i)
     q2 = _q2(op, alpha_i)
-    return CoverageBreakdown(
-        h1=h1,
-        q1=q1,
-        q2=q2,
-        c1=h1 * q1,
-        c1_sic=h1 * (q1 + q2),
-        alpha_i=alpha_i,
-        ring=op.ring,
-        d1=d1,
-    )
+    return CoverageBreakdown(h1=h1, q1=q1, q2=q2, c1=h1 * q1, c1_sic=h1 * (q1 + q2))
 
 
 def single_interferer_given_collision(alpha_i: float) -> float:

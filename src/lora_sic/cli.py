@@ -112,17 +112,30 @@ def _write_csv(out: IO[str], header: Sequence[str], rows: Sequence[Sequence[obje
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-_SWEEP_HEADER = ["x", "h1", "q1", "q2", "c1", "c1_sic"]
-_MC_HEADER = ["mc_c1", "mc_c1_ci95", "mc_c1_sic", "mc_c1_sic_ci95"]
+# Each sweep CSV column with the SweepRow attribute path its cells are read from.
+_SWEEP_COLUMNS = {
+    "x": "x",
+    "h1": "point.h1",
+    "q1": "point.q1",
+    "q2": "point.q2",
+    "c1": "point.c1",
+    "c1_sic": "point.c1_sic",
+}
+_MC_COLUMNS = {
+    "mc_c1": "mc.success_c1.mean",
+    "mc_c1_ci95": "mc.success_c1.ci95_halfwidth",
+    "mc_c1_sic": "mc.success_c1_sic.mean",
+    "mc_c1_sic_ci95": "mc.success_c1_sic.ci95_halfwidth",
+}
 
 
 def _emit_sweep_rows(out: IO[str], rows, with_mc: bool) -> None:
-    header = _SWEEP_HEADER + (_MC_HEADER if with_mc else [])
+    columns = {**_SWEEP_COLUMNS, **(_MC_COLUMNS if with_mc else {})}
     # Every cell is a float (an MC cell may be a numpy float), which "%.10g"
     # prints exactly as _fmt does: one % per row, not one _fmt call per cell.
-    template = ",".join(["%.10g"] * len(header)) + "\n"
-    cells = operator.attrgetter(*header)  # the header names SweepRow's fields
-    out.write(",".join(header) + "\n")
+    template = ",".join(["%.10g"] * len(columns)) + "\n"
+    cells = operator.attrgetter(*columns.values())
+    out.write(",".join(columns) + "\n")
     out.writelines(template % cells(r) for r in rows)
 
 
@@ -251,22 +264,21 @@ def _cmd_capacity(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) ->
         raise UsageError(f"--alphas entries must be finite, got {args.alphas!r}")
     if not alphas:
         raise UsageError("--alphas must name at least one intensity")
-    rows = capacity_table(alphas, default_sf_table())
-    _emit_capacity(out, rows)
+    header = ["alpha"] + [f"n_sf{sf}" for sf in range(7, 13)] + ["total"]
+    _write_csv(out, header, [[r.alpha, *r.nodes, r.total] for r in _printed_capacity(alphas)])
     return 0
 
 
-def _emit_capacity(out: IO[str], rows: list[CapacityRow]) -> None:
-    header = ["alpha"] + [f"n_sf{sf}" for sf in range(7, 13)] + ["total"]
-    _write_csv(out, header, [[r.alpha, *r.nodes, r.total] for r in rows])
+def _printed_capacity(alphas: list[float]) -> list[CapacityRow]:
+    """Capacity rows counted from each alpha as the CSV prints it, so that a
+    reader who rounds the printed alpha/(2 duty) half up gets the printed counts."""
+    return capacity_table([float(_fmt(a)) for a in alphas], default_sf_table())
 
 
 def _cmd_plan(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
     alpha_star = find_alpha_for_target(args.target, args.d1, cfg, with_sic=args.sic)
     if alpha_star > 0:
-        # Count nodes from the alpha* the row prints, so that a reader who
-        # rounds printed alpha*/(2 duty) half up gets the printed counts.
-        nodes = capacity_table([float(_fmt(alpha_star))], default_sf_table())[0]
+        nodes = _printed_capacity([alpha_star])[0]
     else:
         nodes = CapacityRow(alpha=0.0, nodes=(0,) * 6, total=0)
     header = ["target", "with_sic", "alpha_star"] + [f"n_sf{sf}" for sf in range(7, 13)] + ["total"]

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, NamedTuple
 
-from .analytic import _operating_point, coverage
+from .analytic import CoverageBreakdown, _operating_point, coverage
 from .geometry import interferer_intensity, nodes_from_alpha, ring_of
 from .params import DEFAULT_SEED, NetworkConfig, SfParams
+
+if TYPE_CHECKING:
+    from .mcsim import McReport  # loads numpy, which analytic sweeps never need
 
 SWEEP_VARIABLES = ("d1", "alpha", "gamma_db")
 
@@ -71,20 +75,13 @@ class SweepSpec:
         return [min(self.start + i * self.step, self.stop) for i in range(count)]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point; MC fields stay None on analytic-only sweeps."""
+class SweepRow(NamedTuple):
+    """One grid point: what :func:`coverage` returned there and, on sweeps
+    with ``mc_trials`` > 0, the Monte Carlo report (None otherwise)."""
 
     x: float
-    h1: float
-    q1: float
-    q2: float
-    c1: float
-    c1_sic: float
-    mc_c1: float | None = None
-    mc_c1_ci95: float | None = None
-    mc_c1_sic: float | None = None
-    mc_c1_sic_ci95: float | None = None
+    point: CoverageBreakdown
+    mc: McReport | None
 
 
 def resolve_intensity(
@@ -126,15 +123,8 @@ def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
         else:
             point_cfg = replace(cfg, gamma_db=x)
         alpha_i = resolve_intensity(point_cfg, d1, alpha, spec.nbar)
-        breakdown = coverage(d1, point_cfg, alpha_i)
-        row = SweepRow(
-            x=x,
-            h1=breakdown.h1,
-            q1=breakdown.q1,
-            q2=breakdown.q2,
-            c1=breakdown.c1,
-            c1_sic=breakdown.c1_sic,
-        )
+        point = coverage(d1, point_cfg, alpha_i)
+        report = None
         if spec.mc_trials > 0:
             from . import mcsim  # loads numpy, which analytic sweeps never need
 
@@ -145,14 +135,7 @@ def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
                 spec.mc_trials,
                 seed=mcsim.derive_seed(spec.seed, index),
             )
-            row = replace(
-                row,
-                mc_c1=report.success_c1.mean,
-                mc_c1_ci95=report.success_c1.ci95_halfwidth,
-                mc_c1_sic=report.success_c1_sic.mean,
-                mc_c1_sic_ci95=report.success_c1_sic.ci95_halfwidth,
-            )
-        rows.append(row)
+        rows.append(SweepRow(x, point, report))
     return rows
 
 

@@ -61,4 +61,10 @@ def nodes_from_alpha(alpha: float, duty_cycle: float) -> int:
         raise ValueError(f"duty_cycle must be positive, got {duty_cycle}")
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    return int(math.floor(alpha / (2.0 * duty_cycle) + 0.5))
+    count = alpha / (2.0 * duty_cycle) + 0.5
+    if not math.isfinite(count):
+        raise ValueError(
+            f"alpha={alpha} at duty cycle {duty_cycle} needs a node count out of "
+            "floating-point range"
+        )
+    return int(math.floor(count))

@@ -5,9 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-# Message generation period behind the tabulated duty cycles: 15 minutes.
-MESSAGE_PERIOD_MS = 15 * 60 * 1000.0
-
 SPEED_OF_LIGHT_M_S = 2.998e8
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -133,21 +130,10 @@ def default_sf_table() -> tuple[SfParams, ...]:
     """Return the six SF7..SF12 rows of uplink characteristics.
 
     Duty cycles are the tabulated values (multiples of 1e-6) for a 15-minute
-    message period; ``duty_cycle_from_toa`` reproduces them from the ToA
-    column up to their printed rounding.
+    message period: the ToA column over 900 000 ms, up to their printed
+    rounding.
     """
     return _SF_TABLE
-
-
-def duty_cycle_from_toa(toa_ms: float, period_ms: float = MESSAGE_PERIOD_MS) -> float:
-    """Duty cycle of a node emitting one packet of ``toa_ms`` per ``period_ms``."""
-    if toa_ms <= 0:
-        raise ValueError(f"toa_ms must be positive, got {toa_ms}")
-    if period_ms <= 0:
-        raise ValueError(f"period_ms must be positive, got {period_ms}")
-    if period_ms < toa_ms:
-        raise ValueError("period_ms must be at least toa_ms")
-    return toa_ms / period_ms
 
 
 def noise_power_dbm(noise_figure_db: float, bandwidth_hz: float) -> float:
@@ -163,9 +149,3 @@ def noise_power_dbm(noise_figure_db: float, bandwidth_hz: float) -> float:
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError(f"linear power ratio must be positive, got {x}")
-    return 10.0 * math.log10(x)

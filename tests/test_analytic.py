@@ -4,17 +4,14 @@ import pytest
 
 from lora_sic import analytic
 from lora_sic.analytic import (
-    capture_probability,
-    connection_probability,
     coverage,
     default_config,
     path_loss_gain,
-    sic_capture_probability,
     single_interferer_given_collision,
 )
 from lora_sic.experiments import SweepSpec, capacity_table, sweep
 from lora_sic.geometry import OutOfCoverageError, ring_of
-from lora_sic.params import db_to_linear, default_sf_table, linear_to_db
+from lora_sic.params import db_to_linear, default_sf_table
 from lora_sic.specfun import hyp2f1_1b
 from quadrature import q2_integral_quadrature
 
@@ -32,8 +29,8 @@ BORDER_H1Q2_6DB = 0.0808280028420661
         (lambda cfg: ring_of(math.nan, cfg), "distance"),
         (lambda cfg: coverage(math.nan, cfg, 1.0), "distance"),
         (lambda cfg: coverage(3000.0, cfg, math.inf), "alpha_i"),
-        (lambda cfg: capture_probability(3000.0, cfg, math.nan), "alpha_i"),
-        (lambda cfg: sic_capture_probability(3000.0, cfg, math.inf), "alpha_i"),
+        (lambda cfg: coverage(3000.0, cfg, math.nan), "alpha_i"),
+        (lambda cfg: coverage(3000.0, cfg, -math.inf), "alpha_i"),
         (lambda cfg: capacity_table([0.2, math.nan], default_sf_table()), "alphas"),
         (lambda cfg: default_config(gamma_db=math.nan), "gamma_db"),
         (lambda cfg: default_config(tx_power_dbm=math.inf), "tx_power_dbm"),
@@ -69,47 +66,48 @@ def test_path_loss_rejects_nonpositive_distance(cfg):
 
 
 def test_connection_probability_near_gateway_limit(cfg):
-    assert connection_probability(1e-3, cfg) == pytest.approx(1.0, abs=1e-12)
+    assert coverage(1e-3, cfg, 1.0).h1 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_connection_probability_border_anchor(cfg):
-    assert connection_probability(3000.0, cfg) == pytest.approx(BORDER_H1, rel=1e-10)
+    assert coverage(3000.0, cfg, 1.0).h1 == pytest.approx(BORDER_H1, rel=1e-10)
 
 
 def test_connection_probability_noise_free_limit(cfg):
     loud = default_config(tx_power_dbm=200.0)
-    assert connection_probability(3000.0, loud) == pytest.approx(1.0, abs=1e-9)
+    assert coverage(3000.0, loud, 1.0).h1 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_connection_probability_out_of_coverage(cfg):
     with pytest.raises(OutOfCoverageError):
-        connection_probability(3500.0, cfg)
+        coverage(3500.0, cfg, 1.0)
 
 
 def test_capture_probability_no_interferers(cfg):
-    assert capture_probability(3000.0, cfg, 0.0) == 1.0
+    assert coverage(3000.0, cfg, 0.0).q1 == 1.0
 
 
 def test_capture_probability_border_anchor(cfg):
-    assert capture_probability(3000.0, cfg, 1.0) == pytest.approx(BORDER_Q1, rel=1e-10)
+    assert coverage(3000.0, cfg, 1.0).q1 == pytest.approx(BORDER_Q1, rel=1e-10)
 
 
 def test_capture_probability_threshold_free_limit(cfg):
-    easy = default_config(gamma_db=-300.0)
-    assert capture_probability(3000.0, easy, 1.0) == pytest.approx(1.0, abs=1e-9)
+    # Far below 0 dB, where coverage() refuses c1_sic > 1: read q1 alone.
+    easy = analytic._operating_point(3000.0, default_config(gamma_db=-300.0))
+    assert analytic._q1(easy, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_capture_probability_rejects_negative_intensity(cfg):
-    with pytest.raises(ValueError):
-        capture_probability(3000.0, cfg, -0.1)
+    with pytest.raises(ValueError, match="^alpha_i must be nonnegative"):
+        coverage(3000.0, cfg, -0.1)
 
 
 def test_sic_capture_probability_no_interferers(cfg):
-    assert sic_capture_probability(3000.0, cfg, 0.0) == 0.0
+    assert coverage(3000.0, cfg, 0.0).q2 == 0.0
 
 
 def test_sic_capture_probability_border_anchor(cfg):
-    assert sic_capture_probability(3000.0, cfg, 1.0) == pytest.approx(BORDER_Q2, rel=1e-10)
+    assert coverage(3000.0, cfg, 1.0).q2 == pytest.approx(BORDER_Q2, rel=1e-10)
 
 
 def test_sic_gain_anchor_at_one_db(cfg):
@@ -136,7 +134,6 @@ def test_coverage_border_breakdown(cfg):
     assert b.c1_sic == pytest.approx(0.6560005554, abs=1e-9)
     assert b.c1 == pytest.approx(b.h1 * b.q1, rel=1e-15)
     assert b.c1_sic == pytest.approx(b.h1 * (b.q1 + b.q2), rel=1e-15)
-    assert b.ring == 6 and b.alpha_i == 1.0
 
 
 @pytest.mark.parametrize(
@@ -171,19 +168,26 @@ GAMMA_LIN_GRID = [0.5, 1.0, 1.26, 2.0, 4.0, 10.0]
 
 
 def _cfg_gamma(gamma_lin):
-    return default_config(gamma_db=linear_to_db(gamma_lin))
+    return default_config(gamma_db=10.0 * math.log10(gamma_lin))
+
+
+def _q1_q2(d1, cfg, alpha):
+    """q1 and q2 from the closed forms themselves: the grid reaches below
+    0 dB, where coverage() refuses the points at which c1_sic passes one."""
+    op = analytic._operating_point(d1, cfg)
+    return analytic._q1(op, alpha), analytic._q2(op, alpha)
 
 
 def test_q1_nonincreasing_in_intensity(cfg):
     for d1s in D1_GRID.values():
         for d1 in d1s:
-            values = [capture_probability(d1, cfg, a) for a in ALPHA_GRID]
+            values = [coverage(d1, cfg, a).q1 for a in ALPHA_GRID]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_q1_nonincreasing_in_threshold():
     for d1 in (500.0, 3000.0):
-        values = [capture_probability(d1, _cfg_gamma(g), 1.0) for g in GAMMA_LIN_GRID]
+        values = [_q1_q2(d1, _cfg_gamma(g), 1.0)[0] for g in GAMMA_LIN_GRID]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -191,7 +195,7 @@ def test_q1_nonincreasing_in_distance_within_ring(cfg):
     for gamma_lin in GAMMA_LIN_GRID:
         cfg_g = _cfg_gamma(gamma_lin)
         for d1s in D1_GRID.values():
-            values = [capture_probability(d1, cfg_g, 1.0) for d1 in d1s]
+            values = [_q1_q2(d1, cfg_g, 1.0)[0] for d1 in d1s]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -199,14 +203,14 @@ def test_q2_nondecreasing_in_distance_within_ring(cfg):
     for gamma_lin in GAMMA_LIN_GRID:
         cfg_g = _cfg_gamma(gamma_lin)
         for d1s in D1_GRID.values():
-            values = [sic_capture_probability(d1, cfg_g, 1.0) for d1 in d1s]
+            values = [_q1_q2(d1, cfg_g, 1.0)[1] for d1 in d1s]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_q2_factorizes_in_intensity(cfg):
     for d1 in (250.0, 1750.0, 3000.0):
         ratios = [
-            sic_capture_probability(d1, cfg, a) / (a * math.exp(-a))
+            coverage(d1, cfg, a).q2 / (a * math.exp(-a))
             for a in (0.3, 1.0, 2.5)
         ]
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
@@ -220,8 +224,7 @@ def test_capture_events_disjoint_at_and_above_zero_db(cfg):
         for d1s in D1_GRID.values():
             for d1 in d1s:
                 for alpha in ALPHA_GRID:
-                    q1 = capture_probability(d1, cfg_g, alpha)
-                    q2 = sic_capture_probability(d1, cfg_g, alpha)
+                    q1, q2 = _q1_q2(d1, cfg_g, alpha)
                     assert q1 + q2 <= 1.0 + 1e-12
 
 
@@ -229,8 +232,7 @@ def test_capture_events_overlap_below_zero_db():
     """Sub-0 dB thresholds let both nodes capture at once: the closed forms
     then stop describing disjoint events and their sum can pass one."""
     cfg_g = _cfg_gamma(0.5)
-    q1 = capture_probability(3000.0, cfg_g, 0.4)
-    q2 = sic_capture_probability(3000.0, cfg_g, 0.4)
+    q1, q2 = _q1_q2(3000.0, cfg_g, 0.4)
     assert q1 + q2 > 1.0
 
 
@@ -243,12 +245,11 @@ def test_closed_forms_match_quadrature_on_grid(cfg):
             lo, hi = cfg.boundaries[ring - 1], cfg.boundaries[ring]
             for d1 in d1s:
                 for alpha in (0.5, 1.0):
-                    q1 = capture_probability(d1, cfg_g, alpha)
+                    q1, q2 = _q1_q2(d1, cfg_g, alpha)
                     expected_q1 = math.exp(
                         -alpha * q2_integral_quadrature(d1, 1.0 / gamma_lin, eta, lo, hi)
                     )
                     assert q1 == pytest.approx(expected_q1, rel=1e-8)
-                    q2 = sic_capture_probability(d1, cfg_g, alpha)
                     expected_q2 = (
                         alpha
                         * math.exp(-alpha)

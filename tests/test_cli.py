@@ -1,13 +1,15 @@
 import io
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lora_sic.analytic import coverage, default_config
-from lora_sic.cli import _MC_HEADER, _SWEEP_HEADER, _emit_sweep_rows, _write_csv, main, parse_config
-from lora_sic.experiments import SweepRow
+from lora_sic.cli import (
+    _MC_COLUMNS, _SWEEP_COLUMNS, _emit_sweep_rows, _write_csv, main, parse_config,
+)
 from lora_sic.params import NetworkConfig, default_sf_table
 
 
@@ -128,34 +130,47 @@ def test_plan_reports_intensity_and_capacity(capsys):
 
 
 def test_plan_counts_follow_from_the_printed_alpha(capsys, cfg):
-    """Each n_sf is the printed alpha* over twice the SF's duty cycle, rounded
-    half up, as a reader of the row would compute it.
+    """Each n_sf of ``plan`` and ``capacity`` is the printed alpha over twice
+    the SF's duty cycle, rounded half up, as a reader of the row would
+    compute it.
 
-    Most targets are built so that alpha* lands within a few ulps of a
+    Most plan targets are built so that alpha* lands within a few ulps of a
     half-way count for one SF, where rounding the unprinted alpha* could give
     the other neighbour; the rest are plain random targets, with and without
-    SIC.
+    SIC.  Each capacity call asks for 17-digit alphas a few ulps either side
+    of such a half-way count, which print with 10 digits.
     """
     duties = [row.duty_cycle for row in default_sf_table()]
     rng = random.Random(17)
+
+    def check(argv, alpha_column):
+        code, out, _ = _run(capsys, argv)
+        assert code == 0, argv
+        _, rows = _rows(out)
+        for row in rows:
+            alpha = float(row[alpha_column])
+            expected = [math.floor(alpha / (2.0 * duty) + 0.5) for duty in duties]
+            counts = row[alpha_column + 1:]
+            assert [int(n) for n in counts[:6]] == expected, argv
+            assert int(counts[6]) == sum(expected), argv
+
     for i in range(2000):
         ring = rng.randint(1, 6)
         d1 = round(500.0 * (ring - 1) + rng.uniform(100.0, 500.0), 3)
+        two_duty = 2.0 * rng.choice(duties)
+        half_way = two_duty * (math.floor(rng.uniform(0.05, 5.0) / two_duty) + 0.5)
+        half_way = float(f"{half_way:.10g}")
         with_sic = i % 4 == 3
         if with_sic:
             target = round(rng.uniform(0.45, 0.9) * coverage(d1, cfg, 0.0).h1, 6)
         else:
-            two_duty = 2.0 * rng.choice(duties)
-            half_way = two_duty * (math.floor(rng.uniform(0.05, 5.0) / two_duty) + 0.5)
-            target = coverage(d1, cfg, float(f"{half_way:.10g}")).c1
+            target = coverage(d1, cfg, half_way).c1
         argv = ["plan", "--target", repr(target), "--d1", repr(d1)] + (["--sic"] * with_sic)
-        code, out, _ = _run(capsys, argv)
-        assert code == 0, argv
-        _, [row] = _rows(out)
-        alpha_star = float(row[2])
-        expected = [math.floor(alpha_star / (2.0 * duty) + 0.5) for duty in duties]
-        assert [int(n) for n in row[3:9]] == expected, argv
-        assert int(row[9]) == sum(expected), argv
+        check(argv, alpha_column=2)
+        alphas = [half_way]
+        for _ in range(rng.randint(1, 4)):
+            alphas = [math.nextafter(alphas[0], 0), *alphas, math.nextafter(alphas[-1], math.inf)]
+        check(["capacity", "--alphas", ",".join(map(repr, alphas))], alpha_column=0)
 
 
 def test_gamma_override_changes_capture(capsys):
@@ -257,6 +272,8 @@ def _at_border(override):
         ),
         pytest.param(_at_border("gamma_db=3000"), "gamma_db", id="gamma_db=3000"),
         pytest.param(_at_border("gamma_db=-3000"), "gamma_db", id="gamma_db=-3000"),
+        # The node count alpha/(2 duty) overflows.
+        pytest.param(["capacity", "--alphas", "1e305"], "alpha=1e+305", id="capacity 1e305"),
     ],
 )
 def test_arithmetic_error_exit_status(capsys, argv, name):
@@ -351,16 +368,31 @@ def test_sweep_step_too_small_is_refused_before_the_grid_is_built(capsys):
 
 def test_sweep_row_template_prints_what_fmt_prints():
     """The one-template row writer against _write_csv, which formats each
-    cell with _fmt, on edge values and on numpy floats as MC cells carry."""
+    cell with _fmt, on edge values and on numpy floats as MC cells carry.
+
+    Rows are stand-ins with a sweep row's shape (``x``, the coverage
+    ``point``, the MC report ``mc``); every cell of a row holds a different
+    value, so a column that reads the wrong attribute shows too.
+    """
     edge = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e21, 1e22,
             -1e21, 1234567890.5, 0.1, 2.0 / 3.0, 1.0, 3000.0, 0.9041341309352110]
-    rows = []
+    rows, cells = [], []
     for i in range(len(edge)):
-        cells = [edge[(i + k) % len(edge)] for k in range(10)]
-        rows.append(SweepRow(*cells[:6], *(np.float64(c) for c in cells[6:])))
+        row_cells = [edge[(i + k) % len(edge)] for k in range(6)]
+        row_cells += [np.float64(edge[(i + k) % len(edge)]) for k in range(6, 10)]
+        x, h1, q1, q2, c1, c1_sic, mc_c1, mc_c1_ci95, mc_c1_sic, mc_c1_sic_ci95 = row_cells
+        rows.append(SimpleNamespace(
+            x=x,
+            point=SimpleNamespace(h1=h1, q1=q1, q2=q2, c1=c1, c1_sic=c1_sic),
+            mc=SimpleNamespace(
+                success_c1=SimpleNamespace(mean=mc_c1, ci95_halfwidth=mc_c1_ci95),
+                success_c1_sic=SimpleNamespace(mean=mc_c1_sic, ci95_halfwidth=mc_c1_sic_ci95),
+            ),
+        ))
+        cells.append(row_cells)
     for with_mc in (False, True):
-        header = _SWEEP_HEADER + (_MC_HEADER if with_mc else [])
+        header = [*_SWEEP_COLUMNS, *(_MC_COLUMNS if with_mc else ())]
         got, want = io.StringIO(), io.StringIO()
         _emit_sweep_rows(got, rows, with_mc=with_mc)
-        _write_csv(want, header, [[getattr(r, name) for name in header] for r in rows])
+        _write_csv(want, header, [c[:len(header)] for c in cells])
         assert got.getvalue() == want.getvalue()

@@ -2,13 +2,8 @@ import math
 
 import pytest
 
-from lora_sic.analytic import (
-    capture_probability,
-    connection_probability,
-    coverage,
-    default_config,
-    sic_capture_probability,
-)
+from lora_sic import analytic
+from lora_sic.analytic import coverage, default_config
 from lora_sic.experiments import (
     MAX_SWEEP_POINTS,
     InfeasibleTargetError,
@@ -72,10 +67,9 @@ def test_find_alpha_meets_target_to_double_precision(gamma_db, with_sic):
                 reached = coverage(d1, cfg_g, alpha).c1
             else:
                 # Below 0 dB, c1_sic = h1 (q1 + q2) can pass one there, which
-                # CoverageBreakdown refuses; c1 is the same product h1 q1.
-                reached = connection_probability(d1, cfg_g) * capture_probability(
-                    d1, cfg_g, alpha
-                )
+                # coverage() refuses; c1 is the same product h1 q1.
+                op = analytic._operating_point(d1, cfg_g)
+                reached = math.exp(-op.demand) * analytic._q1(op, alpha)
             assert reached == pytest.approx(target, rel=1e-12, abs=0.0)
 
 
@@ -83,14 +77,12 @@ def test_find_alpha_answers_when_sic_coverage_first_rises():
     # Below 0 dB one interferer is decodable more often than it is
     # suppressed (K2 > K1), so c1_sic rises from h1 before it falls.
     # There c1_sic can even pass one (the q1 + q2 > 1 caveat), so it is
-    # assembled from the public factors instead of read off coverage().
+    # assembled from the closed forms instead of read off coverage().
     cfg_g = default_config(gamma_db=-6.0)
+    op = analytic._operating_point(3000.0, cfg_g)
 
     def c1_sic(alpha):
-        return connection_probability(3000.0, cfg_g) * (
-            capture_probability(3000.0, cfg_g, alpha)
-            + sic_capture_probability(3000.0, cfg_g, alpha)
-        )
+        return math.exp(-op.demand) * (analytic._q1(op, alpha) + analytic._q2(op, alpha))
 
     assert c1_sic(0.5) > c1_sic(0.0)
     alpha = find_alpha_for_target(0.8, 3000.0, cfg_g, with_sic=True)
@@ -123,14 +115,10 @@ def test_find_alpha_rejects_bad_target(cfg):
 
 def test_sweep_single_point_equals_coverage(cfg):
     spec = SweepSpec(variable="d1", start=3000.0, stop=3000.0, step=1.0, alpha=1.0)
-    rows = sweep(spec, cfg)
-    assert len(rows) == 1
-    b = coverage(3000.0, cfg, 1.0)
-    row = rows[0]
-    assert (row.x, row.h1, row.q1, row.q2, row.c1, row.c1_sic) == (
-        3000.0, b.h1, b.q1, b.q2, b.c1, b.c1_sic,
-    )
-    assert row.mc_c1 is None
+    [row] = sweep(spec, cfg)
+    assert row.x == 3000.0
+    assert row.point == coverage(3000.0, cfg, 1.0)
+    assert row.mc is None
 
 
 def test_sweep_grid_includes_endpoint(cfg):
@@ -143,15 +131,15 @@ def test_sweep_grid_includes_endpoint(cfg):
 
 def test_sweep_sic_gain_grows_with_load(cfg):
     spec = SweepSpec(variable="alpha", start=0.0, stop=1.0, step=0.1, d1=3000.0)
-    gains = [row.c1_sic - row.c1 for row in sweep(spec, cfg)]
+    gains = [row.point.c1_sic - row.point.c1 for row in sweep(spec, cfg)]
     assert all(b >= a - 1e-12 for a, b in zip(gains, gains[1:]))
 
 
 def test_sweep_gamma_anchors(cfg):
     spec = SweepSpec(variable="gamma_db", start=1.0, stop=6.0, step=5.0, d1=3000.0, alpha=1.0)
     rows = sweep(spec, cfg)
-    assert rows[0].h1 * rows[0].q2 == pytest.approx(0.1670902574, abs=1e-9)
-    assert rows[1].h1 * rows[1].q2 == pytest.approx(0.0808280028, abs=1e-9)
+    assert rows[0].point.h1 * rows[0].point.q2 == pytest.approx(0.1670902574, abs=1e-9)
+    assert rows[1].point.h1 * rows[1].point.q2 == pytest.approx(0.0808280028, abs=1e-9)
 
 
 def test_sweep_probabilities_stay_in_unit_interval(cfg):
@@ -164,17 +152,17 @@ def test_sweep_probabilities_stay_in_unit_interval(cfg):
     for spec in specs:
         for row in sweep(spec, cfg):
             for name in ("h1", "q1", "q2", "c1", "c1_sic"):
-                value = getattr(row, name)
+                value = getattr(row.point, name)
                 assert 0.0 <= value <= 1.0, f"{name}={value} at x={row.x}"
 
 
 def test_sweep_nbar_matches_explicit_intensity(cfg):
     spec = SweepSpec(variable="d1", start=3000.0, stop=3000.0, step=1.0, nbar=500.0)
-    row = sweep(spec, cfg)[0]
+    point = sweep(spec, cfg)[0].point
     explicit = coverage(3000.0, cfg, BORDER_ALPHA_500)
-    assert row.c1 == pytest.approx(explicit.c1, rel=1e-12)
-    assert row.c1 == pytest.approx(0.1381618975, abs=1e-9)
-    assert row.c1_sic == pytest.approx(0.2035238290, abs=1e-9)
+    assert point.c1 == pytest.approx(explicit.c1, rel=1e-12)
+    assert point.c1 == pytest.approx(0.1381618975, abs=1e-9)
+    assert point.c1_sic == pytest.approx(0.2035238290, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -213,8 +201,7 @@ def test_unpinned_sweep_resolves_intensity_like_the_rule(scenario_nbar):
     cfg = default_config(nbar=scenario_nbar)
     spec = SweepSpec(variable="d1", start=500.0, stop=3000.0, step=500.0)
     for row in sweep(spec, cfg):
-        b = coverage(row.x, cfg, resolve_intensity(cfg, row.x))
-        assert (row.h1, row.q1, row.q2, row.c1, row.c1_sic) == (b.h1, b.q1, b.q2, b.c1, b.c1_sic)
+        assert row.point == coverage(row.x, cfg, resolve_intensity(cfg, row.x))
 
 
 def test_sweep_with_mc_columns_is_deterministic(cfg):
@@ -225,8 +212,8 @@ def test_sweep_with_mc_columns_is_deterministic(cfg):
     second = sweep(spec, cfg)
     assert first == second
     for row in first:
-        assert row.mc_c1 is not None
-        assert abs(row.mc_c1 - row.c1) < 10 * row.mc_c1_ci95 + 0.02
+        est = row.mc.success_c1
+        assert abs(est.mean - row.point.c1) < 10 * est.ci95_halfwidth + 0.02
 
 
 def test_sweep_spec_validation():

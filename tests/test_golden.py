@@ -21,8 +21,10 @@ before operating points were memoized.  Then two ``plan`` rows whose node
 counts used to be rounded from the unprinted alpha* and were one off from the
 printed one, now counted from the printed alpha*, and a gamma_db sweep with
 Monte Carlo columns taken before sweep rows were written through one format
-template.  Change a record only for an intended output change, and say which
-and why in CHANGES.md.
+template.  Last, a ``capacity`` row at a 15-digit alpha that prints as
+0.5451574, whose counts used to be rounded from the unprinted alpha (5951 at
+SF7) and now follow the printed one (5952).  Change a record only for an
+intended output change, and say which and why in CHANGES.md.
 """
 
 import json
