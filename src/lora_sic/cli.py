@@ -8,7 +8,7 @@ import math
 import operator
 import sys
 from dataclasses import fields
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from .analytic import coverage, single_interferer_given_collision
 from .experiments import (
@@ -21,7 +21,7 @@ from .experiments import (
     sweep,
 )
 from .geometry import OutOfCoverageError
-from .params import DEFAULT_SEED, NetworkConfig, default_sf_table
+from .params import DEFAULT_SEED, NetworkConfig, SfParams, default_sf_table
 from .specfun import ConvergenceError
 
 #: Grid for the analytic-vs-MC validation report: three rings, three loads.
@@ -94,22 +94,32 @@ def parse_config(text: str) -> NetworkConfig:
     return NetworkConfig(**_parse_values(text))
 
 
-def _fmt(value: object) -> str:
-    if type(value) is float:  # nearly every cell: skip the isinstance chain
-        return format(value, ".10g")
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, str)):
-        return str(value)
-    return format(float(value), ".10g")
+#: A command's result: its CSV header, its rows (tuples of cells in header
+#: order) and its exit status.
+_Table = tuple[Sequence[str], Iterable[tuple], int]
+
+#: How the CSV prints a float, and how ``capacity`` and ``plan`` round the
+#: alpha they count nodes from.
+_FLOAT_CELL = "%.10g"
 
 
-def _write_csv(out: IO[str], header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def _cell_format(value: object) -> str:
+    if isinstance(value, str):
+        return "%s"
+    if isinstance(value, int):  # bool included: True prints as 1
+        return "%d"
+    return _FLOAT_CELL
+
+
+def _write_csv(out: IO[str], header: Sequence[str], rows: Iterable[tuple]) -> None:
+    # Every table has a row, and every column holds one type in every row,
+    # so one template built from the first row formats the whole table.
     out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+    rows = iter(rows)
+    first = next(rows)
+    template = ",".join(map(_cell_format, first)) + "\n"
+    out.write(template % first)
+    out.writelines(template % row for row in rows)
 
 
 # Each sweep CSV column with the SweepRow attribute path its cells are read from.
@@ -128,37 +138,28 @@ _MC_COLUMNS = {
     "mc_c1_sic_ci95": "mc.success_c1_sic.ci95_halfwidth",
 }
 
-
-def _emit_sweep_rows(out: IO[str], rows, with_mc: bool) -> None:
-    columns = {**_SWEEP_COLUMNS, **(_MC_COLUMNS if with_mc else {})}
-    # Every cell is a float (an MC cell may be a numpy float), which "%.10g"
-    # prints exactly as _fmt does: one % per row, not one _fmt call per cell.
-    template = ",".join(["%.10g"] * len(columns)) + "\n"
-    cells = operator.attrgetter(*columns.values())
-    out.write(",".join(columns) + "\n")
-    out.writelines(template % cells(r) for r in rows)
+_NODE_COLUMNS = [f"n_sf{sf}" for sf in range(7, 13)] + ["total"]
 
 
-def _cmd_table1(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
-    header = ["sf", "toa_ms", "bitrate_kbps", "sensitivity_dbm", "snr_threshold_db", "duty_cycle"]
-    rows = [
-        [r.sf, r.toa_ms, r.bitrate_kbps, r.sensitivity_dbm, r.snr_threshold_db, r.duty_cycle]
-        for r in default_sf_table()
-    ]
-    _write_csv(out, header, rows)
-    return 0
+def _sweep_table(spec: SweepSpec, cfg: NetworkConfig) -> _Table:
+    columns = {**_SWEEP_COLUMNS, **(_MC_COLUMNS if spec.mc_trials > 0 else {})}
+    return list(columns), map(operator.attrgetter(*columns.values()), sweep(spec, cfg)), 0
 
 
-def _cmd_coverage(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_table1(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
+    header = [f.name for f in fields(SfParams)]
+    return header, map(operator.attrgetter(*header), default_sf_table()), 0
+
+
+def _cmd_coverage(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
     spec = SweepSpec(
         variable="d1", start=args.d1, stop=args.d1, step=1.0,
         d1=args.d1, alpha=args.alpha, nbar=args.nbar,
     )
-    _emit_sweep_rows(out, sweep(spec, cfg), with_mc=False)
-    return 0
+    return _sweep_table(spec, cfg)
 
 
-def _cmd_sweep(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_sweep(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
     spec = SweepSpec(
         variable=args.var,
         start=args.start,
@@ -170,28 +171,17 @@ def _cmd_sweep(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> in
         mc_trials=args.mc_trials,
         seed=args.seed,
     )
-    _emit_sweep_rows(out, sweep(spec, cfg), with_mc=args.mc_trials > 0)
-    return 0
+    return _sweep_table(spec, cfg)
 
 
-def _cmd_mc(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_mc(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
     from . import mcsim
 
     alpha = resolve_intensity(cfg, args.d1, args.alpha, args.nbar)
     report = mcsim.estimate(args.d1, cfg, alpha, args.trials, seed=args.seed)
     header = ["outcome", "mean", "ci95_halfwidth", "trials"]
-    rows = [
-        [name, est.mean, est.ci95_halfwidth, est.trials]
-        for name, est in (
-            ("connected", report.connected),
-            ("captured", report.captured),
-            ("success_c1", report.success_c1),
-            ("success_c1_sic", report.success_c1_sic),
-            ("single_interferer_given_collision", report.single_interferer_given_collision),
-        )
-    ]
-    _write_csv(out, header, rows)
-    return 0
+    cells = operator.attrgetter(*header[1:])
+    return header, [(f.name, *cells(getattr(report, f.name))) for f in fields(report)], 0
 
 
 def validation_checks(
@@ -237,14 +227,13 @@ def validation_checks(
     return checks
 
 
-def _cmd_validate(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_validate(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
     checks = validation_checks(cfg, args.trials, args.seed)
     header = ["check", "d1", "alpha", "analytic", "mc", "limit", "status"]
     rows = [
-        [name, d1, alpha, ref, got, limit, "pass" if ok else "FAIL"]
+        (name, d1, alpha, ref, got, limit, "pass" if ok else "FAIL")
         for name, d1, alpha, ref, got, limit, ok in checks
     ]
-    _write_csv(out, header, rows)
     worst = max(abs(got - ref) for _, _, _, ref, got, _, _ in checks)
     failed = [c for c in checks if not c[6]]
     print(
@@ -252,10 +241,10 @@ def _cmd_validate(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) ->
         f"max abs deviation {worst:.6f}",
         file=sys.stderr,
     )
-    return 0 if not failed else 2
+    return header, rows, 0 if not failed else 2
 
 
-def _cmd_capacity(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_capacity(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     except ValueError:
@@ -264,26 +253,30 @@ def _cmd_capacity(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) ->
         raise UsageError(f"--alphas entries must be finite, got {args.alphas!r}")
     if not alphas:
         raise UsageError("--alphas must name at least one intensity")
-    header = ["alpha"] + [f"n_sf{sf}" for sf in range(7, 13)] + ["total"]
-    _write_csv(out, header, [[r.alpha, *r.nodes, r.total] for r in _printed_capacity(alphas)])
-    return 0
+    rows = [(r.alpha, *r.nodes, r.total) for r in _printed_capacity(alphas)]
+    return ["alpha", *_NODE_COLUMNS], rows, 0
 
 
 def _printed_capacity(alphas: list[float]) -> list[CapacityRow]:
     """Capacity rows counted from each alpha as the CSV prints it, so that a
     reader who rounds the printed alpha/(2 duty) half up gets the printed counts."""
-    return capacity_table([float(_fmt(a)) for a in alphas], default_sf_table())
+    printed = []
+    for alpha in alphas:
+        text = _FLOAT_CELL % alpha
+        if math.isinf(float(text)):
+            raise ValueError(f"alpha={alpha!r} prints as {text}, beyond the largest float")
+        printed.append(float(text))
+    return capacity_table(printed, default_sf_table())
 
 
-def _cmd_plan(cfg: NetworkConfig, args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_plan(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
     alpha_star = find_alpha_for_target(args.target, args.d1, cfg, with_sic=args.sic)
     if alpha_star > 0:
         nodes = _printed_capacity([alpha_star])[0]
     else:
         nodes = CapacityRow(alpha=0.0, nodes=(0,) * 6, total=0)
-    header = ["target", "with_sic", "alpha_star"] + [f"n_sf{sf}" for sf in range(7, 13)] + ["total"]
-    _write_csv(out, header, [[args.target, args.sic, alpha_star, *nodes.nodes, nodes.total]])
-    return 0
+    header = ["target", "with_sic", "alpha_star", *_NODE_COLUMNS]
+    return header, [(args.target, args.sic, alpha_star, *nodes.nodes, nodes.total)], 0
 
 
 @functools.cache
@@ -378,11 +371,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(args)
-        command = _COMMANDS[args.command]
+        header, rows, status = _COMMANDS[args.command](cfg, args)
+        # Opened only once the command has its table, so a refused command
+        # leaves an existing file as it was.
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="") as out:
-                return command(cfg, args, out)
-        return command(cfg, args, sys.stdout)
+                _write_csv(out, header, rows)
+        else:
+            _write_csv(sys.stdout, header, rows)
+        return status
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

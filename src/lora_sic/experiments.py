@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
-from .analytic import CoverageBreakdown, _operating_point, coverage
+from .analytic import CoverageBreakdown, _operating_point, _q1, _q2, coverage
 from .geometry import interferer_intensity, nodes_from_alpha, ring_of
 from .params import DEFAULT_SEED, NetworkConfig, SfParams
 
@@ -17,6 +17,9 @@ SWEEP_VARIABLES = ("d1", "alpha", "gamma_db")
 
 #: Largest grid a sweep may build; a tiny step would otherwise exhaust memory.
 MAX_SWEEP_POINTS = 1_000_000
+
+#: Largest intensity :func:`find_alpha_for_target` searches.
+ALPHA_MAX = 10.0
 
 
 class InfeasibleTargetError(ValueError):
@@ -168,7 +171,6 @@ def find_alpha_for_target(
     d1: float,
     cfg: NetworkConfig,
     with_sic: bool,
-    alpha_max: float = 10.0,
 ) -> float:
     """Largest intensity whose coverage probability still meets ``target``.
 
@@ -184,7 +186,7 @@ def find_alpha_for_target(
     zero-load value c(0) = h1 the set {c >= target} is therefore an interval
     [0, alpha*].  Raises :class:`InfeasibleTargetError` when even a silent
     network misses the target, or when the target is still exceeded at
-    ``alpha_max``.
+    :data:`ALPHA_MAX`.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
@@ -196,17 +198,15 @@ def find_alpha_for_target(
         )
     if target == h1:
         return 0.0
-    k1 = op.kernel(1.0 / op.gamma)
-    k2 = op.kernel(op.gamma) if with_sic else 0.0
 
     def objective(alpha: float) -> float:
-        return h1 * (math.exp(-alpha * k1) + alpha * math.exp(-alpha) * k2)
+        return h1 * (_q1(op, alpha) + _q2(op, alpha)) if with_sic else h1 * _q1(op, alpha)
 
-    if objective(alpha_max) > target:
+    if objective(ALPHA_MAX) > target:
         raise InfeasibleTargetError(
-            f"objective still exceeds {target} at alpha_max={alpha_max}"
+            f"objective still exceeds {target} at alpha_max={ALPHA_MAX}"
         )
-    lo, hi = 0.0, alpha_max
+    lo, hi = 0.0, ALPHA_MAX
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

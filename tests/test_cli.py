@@ -1,15 +1,12 @@
 import io
 import math
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lora_sic.analytic import coverage, default_config
-from lora_sic.cli import (
-    _MC_COLUMNS, _SWEEP_COLUMNS, _emit_sweep_rows, _write_csv, main, parse_config,
-)
+from lora_sic.cli import _write_csv, main, parse_config
 from lora_sic.params import NetworkConfig, default_sf_table
 
 
@@ -274,6 +271,12 @@ def _at_border(override):
         pytest.param(_at_border("gamma_db=-3000"), "gamma_db", id="gamma_db=-3000"),
         # The node count alpha/(2 duty) overflows.
         pytest.param(["capacity", "--alphas", "1e305"], "alpha=1e+305", id="capacity 1e305"),
+        # A finite alpha whose 10 printed digits round past the largest float.
+        pytest.param(
+            ["capacity", "--alphas", "1.7976931348623157e308"],
+            "alpha=1.7976931348623157e+308",
+            id="capacity max float",
+        ),
     ],
 )
 def test_arithmetic_error_exit_status(capsys, argv, name):
@@ -332,6 +335,38 @@ def test_file_error_exits_two_naming_the_path(tmp_path, capsys, option, name):
     assert str(path) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coverage", "--d1", "99999"],
+        ["plan", "--target", "0.95"],
+        ["sweep", "--var", "gamma_db", "--start", "3000", "--stop", "3002", "--step", "1",
+         "--alpha", "1"],
+        ["capacity", "--alphas", "1.7976931348623157e308"],
+    ],
+    ids=["out of the cell", "infeasible plan", "kernel overflow", "capacity max float"],
+)
+def test_refused_command_leaves_the_output_file_as_it_was(tmp_path, capsys, argv):
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"alpha,total\n0.2,4689\n")
+    code, out, err = _run(capsys, ["--output", str(path), *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.read_bytes() == b"alpha,total\n0.2,4689\n"
+
+
+def test_failing_validate_still_writes_its_table(tmp_path, capsys):
+    # Ten trials per point are too few for the checks, so validate exits 2,
+    # but its table is a result, not a refusal.
+    argv = ["validate", "--trials", "10"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and "FAIL" in out
+    assert len(out.splitlines()) == 1 + 45
+    path = tmp_path / "validate.csv"
+    assert _run(capsys, ["--output", str(path), *argv]) == (code, "", err)
+    assert path.read_text(encoding="utf-8") == out
+
+
 # --- output stability -------------------------------------------------------
 
 def test_csv_bytes_stable_across_runs(tmp_path):
@@ -366,33 +401,27 @@ def test_sweep_step_too_small_is_refused_before_the_grid_is_built(capsys):
     assert err == "error: a grid from 100.0 to 3000.0 by 1e-09 would exceed 1000000 points\n"
 
 
-def test_sweep_row_template_prints_what_fmt_prints():
-    """The one-template row writer against _write_csv, which formats each
-    cell with _fmt, on edge values and on numpy floats as MC cells carry.
+# Each float with its CSV text: ten significant digits, as "%.10g" prints it.
+_FLOAT_CELLS = [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-0.0, "-0"), (0.0, "0"),
+    (1e-300, "1e-300"), (5e-324, "4.940656458e-324"), (1e21, "1e+21"), (-1e22, "-1e+22"),
+    (1234567890.5, "1234567890"), (0.1, "0.1"), (2.0 / 3.0, "0.6666666667"), (1.0, "1"),
+    (3000.0, "3000"), (0.9041341309352110, "0.9041341309"),
+]
+_INT_CELLS = [(0, "0"), (-7, "-7"), (5000, "5000"), (2**70, "1180591620717411303424")]
 
-    Rows are stand-ins with a sweep row's shape (``x``, the coverage
-    ``point``, the MC report ``mc``); every cell of a row holds a different
-    value, so a column that reads the wrong attribute shows too.
-    """
-    edge = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e21, 1e22,
-            -1e21, 1234567890.5, 0.1, 2.0 / 3.0, 1.0, 3000.0, 0.9041341309352110]
-    rows, cells = [], []
-    for i in range(len(edge)):
-        row_cells = [edge[(i + k) % len(edge)] for k in range(6)]
-        row_cells += [np.float64(edge[(i + k) % len(edge)]) for k in range(6, 10)]
-        x, h1, q1, q2, c1, c1_sic, mc_c1, mc_c1_ci95, mc_c1_sic, mc_c1_sic_ci95 = row_cells
-        rows.append(SimpleNamespace(
-            x=x,
-            point=SimpleNamespace(h1=h1, q1=q1, q2=q2, c1=c1, c1_sic=c1_sic),
-            mc=SimpleNamespace(
-                success_c1=SimpleNamespace(mean=mc_c1, ci95_halfwidth=mc_c1_ci95),
-                success_c1_sic=SimpleNamespace(mean=mc_c1_sic, ci95_halfwidth=mc_c1_sic_ci95),
-            ),
-        ))
-        cells.append(row_cells)
-    for with_mc in (False, True):
-        header = [*_SWEEP_COLUMNS, *(_MC_COLUMNS if with_mc else ())]
-        got, want = io.StringIO(), io.StringIO()
-        _emit_sweep_rows(got, rows, with_mc=with_mc)
-        _write_csv(want, header, [c[:len(header)] for c in cells])
-        assert got.getvalue() == want.getvalue()
+
+def test_one_writer_prints_each_cell_by_its_type():
+    """Floats (numpy floats included) print with ten significant digits,
+    ints in full, bools as 1 or 0 and strings as they are, from one template
+    built from the first row.  Every cell of a row holds a different value,
+    so a column formatted by the wrong rule shows."""
+    rows, want = [], "a,b,n,flag,name\n"
+    for i, (value, text) in enumerate(_FLOAT_CELLS):
+        other, other_text = _FLOAT_CELLS[(i + 1) % len(_FLOAT_CELLS)]
+        count, count_text = _INT_CELLS[i % len(_INT_CELLS)]
+        rows.append((value, np.float64(other), count, i % 2 == 0, f"row{i}"))
+        want += f"{text},{other_text},{count_text},{1 - i % 2},row{i}\n"
+    got = io.StringIO()
+    _write_csv(got, ["a", "b", "n", "flag", "name"], iter(rows))
+    assert got.getvalue() == want
