@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .geometry import ring_of
-from .params import NetworkConfig, db_to_linear, default_sf_table
+from .params import NetworkConfig, _record, db_to_linear, default_sf_table
 from .specfun import hyp2f1_1b
 
 
@@ -27,8 +26,7 @@ def default_config(**values: float) -> NetworkConfig:
     return NetworkConfig(**values)
 
 
-@dataclass(frozen=True)
-class CoverageBreakdown:
+class CoverageBreakdown(_record("CoverageBreakdown", "h1 q1 q2 c1 c1_sic")):
     """The probability quintet at one operating point.
 
     ``c1 = h1*q1`` and ``c1_sic = h1*(q1+q2)`` under the standard
@@ -37,20 +35,13 @@ class CoverageBreakdown:
     exceed one.
     """
 
-    h1: float
-    q1: float
-    q2: float
-    c1: float
-    c1_sic: float
-
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.c1_sic > 1.0:
             raise ValueError(
                 f"c1_sic = h1(q1+q2) = {self.c1_sic} exceeds 1: below 0 dB capture "
                 "and SIC are not disjoint events, so the closed form does not apply"
             )
-        for name in ("h1", "q1", "q2", "c1", "c1_sic"):
-            value = getattr(self, name)
+        for name, value in zip(self._fields, self):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} is not a probability")
 
@@ -170,7 +161,7 @@ def coverage(d1: float, cfg: NetworkConfig, alpha_i: float) -> CoverageBreakdown
     h1 = math.exp(-op.demand)
     q1 = _q1(op, alpha_i)
     q2 = _q2(op, alpha_i)
-    return CoverageBreakdown(h1=h1, q1=q1, q2=q2, c1=h1 * q1, c1_sic=h1 * (q1 + q2))
+    return CoverageBreakdown(h1, q1, q2, h1 * q1, h1 * (q1 + q2))
 
 
 def single_interferer_given_collision(alpha_i: float) -> float:

@@ -7,7 +7,6 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import fields
 from typing import IO, Iterable, Sequence
 
 from .analytic import coverage, single_interferer_given_collision
@@ -29,7 +28,7 @@ VALIDATE_D1 = (400.0, 1700.0, 3000.0)
 VALIDATE_ALPHA = (0.25, 0.5, 1.0)
 
 #: Every config key with its default.
-_CONFIG_DEFAULTS: dict[str, float] = {f.name: f.default for f in fields(NetworkConfig)}
+_CONFIG_DEFAULTS: dict[str, float] = NetworkConfig._field_defaults
 
 
 class UsageError(Exception):
@@ -147,7 +146,7 @@ def _sweep_table(spec: SweepSpec, cfg: NetworkConfig) -> _Table:
 
 
 def _cmd_table1(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
-    header = [f.name for f in fields(SfParams)]
+    header = list(SfParams._fields)
     return header, map(operator.attrgetter(*header), default_sf_table()), 0
 
 
@@ -181,7 +180,7 @@ def _cmd_mc(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
     report = mcsim.estimate(args.d1, cfg, alpha, args.trials, seed=args.seed)
     header = ["outcome", "mean", "ci95_halfwidth", "trials"]
     cells = operator.attrgetter(*header[1:])
-    return header, [(f.name, *cells(getattr(report, f.name))) for f in fields(report)], 0
+    return header, [(name, *cells(est)) for name, est in vars(report).items()], 0
 
 
 def validation_checks(
@@ -315,7 +314,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--start", type=_finite_float, required=True)
     p.add_argument("--stop", type=_finite_float, required=True)
     p.add_argument("--step", type=_finite_float, required=True)
-    p.add_argument("--d1", type=_finite_float, default=SweepSpec.d1)
+    p.add_argument("--d1", type=_finite_float, default=SweepSpec._field_defaults["d1"])
     _pinning(p)
     p.add_argument("--mc-trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -336,7 +335,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("plan", help="largest intensity meeting a coverage target")
     p.add_argument("--target", type=_finite_float, required=True)
     p.add_argument("--sic", action="store_true")
-    p.add_argument("--d1", type=_finite_float, default=SweepSpec.d1)
+    p.add_argument("--d1", type=_finite_float, default=SweepSpec._field_defaults["d1"])
 
     return parser
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 from .analytic import CoverageBreakdown, _operating_point, _q1, _q2, coverage
 from .geometry import interferer_intensity, nodes_from_alpha, ring_of
-from .params import DEFAULT_SEED, NetworkConfig, SfParams
+from .params import DEFAULT_SEED, NetworkConfig, SfParams, _record
 
 if TYPE_CHECKING:
     from .mcsim import McReport  # loads numpy, which analytic sweeps never need
@@ -26,8 +25,12 @@ class InfeasibleTargetError(ValueError):
     """The requested reliability target cannot be met at any positive load."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(
+    _record(
+        "SweepSpec", "variable start stop step",
+        d1=3000.0, alpha=None, nbar=None, mc_trials=0, seed=DEFAULT_SEED,
+    )
+):
     """One-dimensional grid over d1, alpha or gamma_db.
 
     Non-swept parameters are pinned by ``d1`` and by at most one of ``alpha``
@@ -35,17 +38,7 @@ class SweepSpec:
     each point.  ``mc_trials`` = 0 keeps the sweep purely analytic.
     """
 
-    variable: str
-    start: float
-    stop: float
-    step: float
-    d1: float = 3000.0
-    alpha: float | None = None
-    nbar: float | None = None
-    mc_trials: int = 0
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
@@ -124,7 +117,7 @@ def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
         elif spec.variable == "alpha":
             alpha = x
         else:
-            point_cfg = replace(cfg, gamma_db=x)
+            point_cfg = cfg._replace(gamma_db=x)
         alpha_i = resolve_intensity(point_cfg, d1, alpha, spec.nbar)
         point = coverage(d1, point_cfg, alpha_i)
         report = None
@@ -142,13 +135,9 @@ def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class CapacityRow:
-    """Supported node counts per SF at one network usage intensity."""
-
-    alpha: float
-    nodes: tuple[int, ...]
-    total: int
+class CapacityRow(_record("CapacityRow", "alpha nodes total")):
+    """Supported node counts per SF at one network usage intensity: ``nodes``
+    holds one count per SF, ``total`` their sum."""
 
 
 def capacity_table(

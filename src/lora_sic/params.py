@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 SPEED_OF_LIGHT_M_S = 2.998e8
 
@@ -13,8 +13,38 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class SfParams:
+def _record(typename: str, required: str = "", **defaults: object) -> type:
+    """A namedtuple base: the space-separated ``required`` fields, then
+    ``defaults``.  The constructor, ``_make``, ``_replace``, ``copy`` and
+    ``pickle`` all build through ``cls(*fields)``, so each runs ``_check``
+    (which sets :class:`NetworkConfig`'s derived attributes); assignment raises.
+    """
+
+    class Record(namedtuple(typename, [*required.split(), *defaults], defaults=defaults.values())):
+        def __init__(self, *args, **kwargs):
+            self._check()  # namedtuple's __new__ has already set the fields
+
+        @classmethod
+        def _make(cls, iterable):
+            return cls(*iterable)
+
+        def __reduce__(self):
+            return type(self), tuple(self)
+
+        def __setattr__(self, name, value=None):
+            raise AttributeError(f"{typename} is immutable: cannot change {name!r}")
+
+        __delattr__ = __setattr__
+
+        def _check(self) -> None:
+            pass
+
+    return Record
+
+
+class SfParams(
+    _record("SfParams", "sf toa_ms bitrate_kbps sensitivity_dbm snr_threshold_db duty_cycle")
+):
     """Uplink characteristics of one spreading factor.
 
     Values correspond to a 9-byte payload at 125 kHz with CRC and explicit
@@ -22,14 +52,7 @@ class SfParams:
     message generation period.
     """
 
-    sf: int
-    toa_ms: float
-    bitrate_kbps: float
-    sensitivity_dbm: float
-    snr_threshold_db: float
-    duty_cycle: float
-
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 7 <= self.sf <= 12:
             raise ValueError(f"sf must be in 7..12, got {self.sf}")
         if self.toa_ms <= 0:
@@ -40,8 +63,20 @@ class SfParams:
             )
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(
+    _record(
+        "NetworkConfig",
+        nbar=0.0,
+        duty_cycle=0.01,
+        radius_m=3000.0,
+        carrier_hz=868e6,
+        bandwidth_hz=125e3,
+        tx_power_dbm=14.0,
+        noise_figure_db=6.0,
+        path_loss_exp=2.8,
+        gamma_db=1.0,
+    )
+):
     """The whole scenario, one flat record keyed by the config names.
 
     A disc of radius ``radius_m`` cut into six equal rings, SF7 innermost to
@@ -56,21 +91,10 @@ class NetworkConfig:
     units.
     """
 
-    nbar: float = 0.0
-    duty_cycle: float = 0.01
-    radius_m: float = 3000.0
-    carrier_hz: float = 868e6
-    bandwidth_hz: float = 125e3
-    tx_power_dbm: float = 14.0
-    noise_figure_db: float = 6.0
-    path_loss_exp: float = 2.8
-    gamma_db: float = 1.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def _check(self) -> None:
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.nbar < 0:
             raise ValueError(f"nbar must be nonnegative, got {self.nbar}")
         if self.radius_m <= 0:
@@ -88,7 +112,7 @@ class NetworkConfig:
         if not 0 <= self.duty_cycle < 1:
             raise ValueError(f"duty cycles must lie in [0, 1), got {self.duty_cycle}")
         width = self.radius_m / 6
-        derived = {
+        self.__dict__.update({
             # 6 * width can miss radius_m by an ulp; the edge is radius_m itself.
             "boundaries": (*(i * width for i in range(6)), self.radius_m),
             "wavelength_m": SPEED_OF_LIGHT_M_S / self.carrier_hz,
@@ -98,9 +122,7 @@ class NetworkConfig:
                 "the noise power in dBm from noise_figure_db and bandwidth_hz",
             ),
             "gamma": _linear_in_range(self.gamma_db, "gamma_db"),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        })
 
 
 def _linear_in_range(value_db: float, what: str) -> float:

@@ -1,4 +1,6 @@
 """The analytic path imports neither numpy nor scipy; only Monte Carlo loads numpy.
+Nor does it import ``dataclasses`` or ``inspect``, which cost more to import
+than the model takes to answer.
 
 Each check runs in a fresh interpreter, because this test session has long
 since imported both.
@@ -16,23 +18,31 @@ import lora_sic
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Runs cli.main on its arguments (if any), then prints the exit status and
-# which of numpy and scipy ended up in sys.modules.
+# which of the comma-separated watched modules ended up in sys.modules.
 _PROBE = """
 import contextlib, io, sys
 import lora_sic
+watched, argv = sys.argv[1].split(","), sys.argv[2:]
 code = None
-if sys.argv[1:]:
+if argv:
     from lora_sic import cli
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(sys.argv[1:])
-print(code, *sorted(name for name in ("numpy", "scipy") if name in sys.modules))
+        code = cli.main(argv)
+print(code, *sorted(name for name in watched if name in sys.modules))
 """
 
+_ANALYTIC_COMMANDS = [
+    ["coverage", "--d1", "3000"],
+    ["plan", "--target", "0.8", "--sic"],
+    ["capacity", "--alphas", "0.2,1"],
+    ["sweep", "--var", "alpha", "--start", "0.1", "--stop", "2", "--step", "0.1"],
+]
 
-def _fresh(*argv: str) -> list[str]:
+
+def _fresh(*argv: str, watch: str = "numpy,scipy") -> list[str]:
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
+        [sys.executable, "-c", _PROBE, watch, *argv],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -46,18 +56,16 @@ def test_import_loads_neither_numpy_nor_scipy():
     assert _fresh() == ["None"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["coverage", "--d1", "3000"],
-        ["plan", "--target", "0.8", "--sic"],
-        ["capacity", "--alphas", "0.2,1"],
-        ["sweep", "--var", "alpha", "--start", "0.1", "--stop", "2", "--step", "0.1"],
-    ],
-    ids=lambda argv: " ".join(argv[:2]),
-)
+@pytest.mark.parametrize("argv", _ANALYTIC_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
 def test_analytic_commands_load_neither_numpy_nor_scipy(argv):
     assert _fresh(*argv) == ["0"]
+
+
+@pytest.mark.parametrize(
+    "argv", [[], *_ANALYTIC_COMMANDS], ids=lambda argv: " ".join(argv[:2]) or "import"
+)
+def test_import_and_analytic_commands_load_neither_dataclasses_nor_inspect(argv):
+    assert _fresh(*argv, watch="dataclasses,inspect") == ["0" if argv else "None"]
 
 
 def test_monte_carlo_loads_numpy():
