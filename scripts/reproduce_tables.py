@@ -23,8 +23,8 @@ def main() -> int:
     cli_main(["capacity", "--alphas", "0.20,0.52,1"])
 
     cfg = default_config()
-    plain = find_alpha_for_target(args.target, 3000.0, cfg, with_sic=False)
-    sic = find_alpha_for_target(args.target, 3000.0, cfg, with_sic=True)
+    plain = find_alpha_for_target(args.target, cfg.radius_m, cfg, with_sic=False)
+    sic = find_alpha_for_target(args.target, cfg.radius_m, cfg, with_sic=True)
     total_plain = capacity_table([plain], default_sf_table())[0].total
     total_sic = capacity_table([sic], default_sf_table())[0].total
     print(f"\n# planning for border coverage >= {args.target}")

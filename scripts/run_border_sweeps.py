@@ -3,7 +3,8 @@
 
 Produces ``border_alpha_sweep.csv`` (intensity 0..2 at a 1 dB threshold) and
 ``border_gamma_sweep.csv`` (threshold 0..8 dB at intensity 1), both for the
-worst-case node at d1 = 3000 m.  Pass --mc-trials to add simulated columns.
+worst-case node at the cell edge, where ``sweep`` puts d1 by default.  Pass
+--mc-trials to add simulated columns.
 """
 
 import argparse
@@ -26,13 +27,12 @@ def main() -> int:
 
     rc = cli_main(
         ["--output", str(out_dir / "border_alpha_sweep.csv"),
-         "sweep", "--var", "alpha", "--start", "0.02", "--stop", "2", "--step", "0.02",
-         "--d1", "3000", *mc]
+         "sweep", "--var", "alpha", "--start", "0.02", "--stop", "2", "--step", "0.02", *mc]
     )
     rc |= cli_main(
         ["--output", str(out_dir / "border_gamma_sweep.csv"),
          "sweep", "--var", "gamma_db", "--start", "0", "--stop", "8", "--step", "0.25",
-         "--d1", "3000", "--alpha", "1", *mc]
+         "--alpha", "1", *mc]
     )
     print(f"wrote {out_dir}/border_alpha_sweep.csv and {out_dir}/border_gamma_sweep.csv")
     return rc

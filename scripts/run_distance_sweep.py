@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Emit the distance sweep (10..3000 m) as CSV for a given deployment size.
+"""Emit the distance sweep, from --step to the cell edge, as CSV for one deployment size.
 
 The mean node count is a free parameter of this experiment; 500 nodes at a 1%
 duty cycle reproduces the canonical border readings (coverage ~0.14 without
@@ -10,6 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from lora_sic import NetworkConfig
 from lora_sic.cli import main as cli_main
 
 
@@ -27,7 +28,7 @@ def main() -> int:
     target = out_dir / f"distance_sweep_nbar{args.nbar:g}.csv"
     rc = cli_main(
         ["--output", str(target),
-         "sweep", "--var", "d1", "--start", str(args.step), "--stop", "3000",
+         "sweep", "--var", "d1", "--start", str(args.step), "--stop", str(NetworkConfig().radius_m),
          "--step", str(args.step), "--nbar", str(args.nbar),
          "--mc-trials", str(args.mc_trials), "--seed", str(args.seed)]
     )

@@ -123,7 +123,7 @@ def _ring_capture_kernel(
     try:
         d_eta = d1**eta
         hi_term = l_hi**2 * hyp2f1_1b(b, -gamma_lin * l_hi**eta / d_eta)
-        lo_term = l_lo**2 * hyp2f1_1b(b, -gamma_lin * l_lo**eta / d_eta) if l_lo > 0 else 0.0
+        lo_term = l_lo**2 * hyp2f1_1b(b, -gamma_lin * l_lo**eta / d_eta)
         return (hi_term - lo_term) / (l_hi**2 - l_lo**2)
     except (ArithmeticError, ValueError) as exc:
         raise ValueError(

@@ -14,6 +14,7 @@ from .experiments import (
     CapacityRow,
     InfeasibleTargetError,
     SweepSpec,
+    _d1_or_edge,
     capacity_table,
     find_alpha_for_target,
     resolve_intensity,
@@ -22,10 +23,6 @@ from .experiments import (
 from .geometry import OutOfCoverageError
 from .params import DEFAULT_SEED, NetworkConfig, SfParams, default_sf_table
 from .specfun import ConvergenceError
-
-#: Grid for the analytic-vs-MC validation report: three rings, three loads.
-VALIDATE_D1 = (400.0, 1700.0, 3000.0)
-VALIDATE_ALPHA = (0.25, 0.5, 1.0)
 
 #: Every config key with its default.
 _CONFIG_DEFAULTS: dict[str, float] = NetworkConfig._field_defaults
@@ -186,7 +183,8 @@ def _cmd_mc(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
 def validation_checks(
     cfg: NetworkConfig, trials: int, seed: int
 ) -> list[tuple[str, float, float, float, float, float, bool]]:
-    """Analytic-vs-MC checks over the validation grid.
+    """Analytic-vs-MC checks at loads 0.25, 0.5 and 1 in three places: ring 1
+    at 4/5 of its width, ring 4 at 2/5, and the cell edge.
 
     Returns (check, d1, alpha, analytic, mc, limit, ok) tuples.  Marginals
     must match within 4 CI half-widths (they are exact under the model); the
@@ -197,8 +195,9 @@ def validation_checks(
     from . import mcsim
 
     checks = []
-    for point_index, d1 in enumerate(VALIDATE_D1):
-        for alpha in VALIDATE_ALPHA:
+    width = cfg.radius_m / 6
+    for point_index, d1 in enumerate((4 * width / 5, 17 * width / 5, cfg.radius_m)):
+        for alpha in (0.25, 0.5, 1.0):
             report = mcsim.estimate(
                 d1, cfg, alpha, trials, seed=mcsim.derive_seed(seed, point_index * 101 + int(alpha * 100))
             )
@@ -269,7 +268,7 @@ def _printed_capacity(alphas: list[float]) -> list[CapacityRow]:
 
 
 def _cmd_plan(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
-    alpha_star = find_alpha_for_target(args.target, args.d1, cfg, with_sic=args.sic)
+    alpha_star = find_alpha_for_target(args.target, _d1_or_edge(args.d1, cfg), cfg, with_sic=args.sic)
     if alpha_star > 0:
         nodes = _printed_capacity([alpha_star])[0]
     else:
@@ -297,6 +296,7 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--output", help="write CSV here instead of standard output")
     sub = parser.add_subparsers(dest="command", required=True)
+    d1_help = "reference distance in m (default: the cell edge, radius_m)"
 
     sub.add_parser("table1", help="print the per-SF uplink characteristics")
 
@@ -314,7 +314,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--start", type=_finite_float, required=True)
     p.add_argument("--stop", type=_finite_float, required=True)
     p.add_argument("--step", type=_finite_float, required=True)
-    p.add_argument("--d1", type=_finite_float, default=SweepSpec._field_defaults["d1"])
+    p.add_argument("--d1", type=_finite_float, help=d1_help)
     _pinning(p)
     p.add_argument("--mc-trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -335,7 +335,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("plan", help="largest intensity meeting a coverage target")
     p.add_argument("--target", type=_finite_float, required=True)
     p.add_argument("--sic", action="store_true")
-    p.add_argument("--d1", type=_finite_float, default=SweepSpec._field_defaults["d1"])
+    p.add_argument("--d1", type=_finite_float, help=d1_help)
 
     return parser
 

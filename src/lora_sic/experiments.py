@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .analytic import CoverageBreakdown, _operating_point, _q1, _q2, coverage
 from .geometry import interferer_intensity, nodes_from_alpha, ring_of
-from .params import DEFAULT_SEED, NetworkConfig, SfParams, _record
+from .params import DEFAULT_SEED, MAX_ALPHA, NetworkConfig, SfParams, _record
 
 if TYPE_CHECKING:
     from .mcsim import McReport  # loads numpy, which analytic sweeps never need
@@ -17,9 +17,6 @@ SWEEP_VARIABLES = ("d1", "alpha", "gamma_db")
 #: Largest grid a sweep may build; a tiny step would otherwise exhaust memory.
 MAX_SWEEP_POINTS = 1_000_000
 
-#: Largest intensity :func:`find_alpha_for_target` searches.
-ALPHA_MAX = 10.0
-
 
 class InfeasibleTargetError(ValueError):
     """The requested reliability target cannot be met at any positive load."""
@@ -28,14 +25,14 @@ class InfeasibleTargetError(ValueError):
 class SweepSpec(
     _record(
         "SweepSpec", "variable start stop step",
-        d1=3000.0, alpha=None, nbar=None, mc_trials=0, seed=DEFAULT_SEED,
+        d1=None, alpha=None, nbar=None, mc_trials=0, seed=DEFAULT_SEED,
     )
 ):
     """One-dimensional grid over d1, alpha or gamma_db.
 
-    Non-swept parameters are pinned by ``d1`` and by at most one of ``alpha``
-    or ``nbar``; :func:`resolve_intensity` turns them into the intensity of
-    each point.  ``mc_trials`` = 0 keeps the sweep purely analytic.
+    Non-swept parameters are pinned by ``d1`` (None: the cell edge) and by
+    at most one of ``alpha`` or ``nbar``, which :func:`resolve_intensity`
+    turns into each point's intensity.  ``mc_trials`` = 0 keeps it analytic.
     """
 
     def _check(self) -> None:
@@ -102,6 +99,11 @@ def resolve_intensity(
     return interferer_intensity(ring_of(d1, cfg), cfg, nbar)
 
 
+def _d1_or_edge(d1: float | None, cfg: NetworkConfig) -> float:
+    """``d1``, or the cell edge, where the worst-case node sits, when it is None."""
+    return cfg.radius_m if d1 is None else d1
+
+
 def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
     """Evaluate the breakdown over the grid, in grid order.
 
@@ -111,7 +113,7 @@ def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for index, x in enumerate(spec.grid()):
         point_cfg = cfg
-        d1, alpha = spec.d1, spec.alpha
+        d1, alpha = _d1_or_edge(spec.d1, cfg), spec.alpha
         if spec.variable == "d1":
             d1 = x
         elif spec.variable == "alpha":
@@ -175,7 +177,7 @@ def find_alpha_for_target(
     zero-load value c(0) = h1 the set {c >= target} is therefore an interval
     [0, alpha*].  Raises :class:`InfeasibleTargetError` when even a silent
     network misses the target, or when the target is still exceeded at
-    :data:`ALPHA_MAX`.
+    :data:`~lora_sic.params.MAX_ALPHA`.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
@@ -191,11 +193,11 @@ def find_alpha_for_target(
     def objective(alpha: float) -> float:
         return h1 * (_q1(op, alpha) + _q2(op, alpha)) if with_sic else h1 * _q1(op, alpha)
 
-    if objective(ALPHA_MAX) > target:
+    if objective(MAX_ALPHA) > target:
         raise InfeasibleTargetError(
-            f"objective still exceeds {target} at alpha_max={ALPHA_MAX}"
+            f"objective still exceeds {target} at alpha_max={MAX_ALPHA}"
         )
-    lo, hi = 0.0, ALPHA_MAX
+    lo, hi = 0.0, MAX_ALPHA
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

@@ -19,13 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _operating_point, _OperatingPoint
-from .params import DEFAULT_SEED, NetworkConfig
+from .params import DEFAULT_SEED, MAX_ALPHA, NetworkConfig
 
 #: Trials per chunk; fixed so a seed always yields the same chunk streams.
 CHUNK_TRIALS = 1 << 14
-
-#: Poisson inversion is tabulated only up to this intensity.
-MAX_ALPHA = 10.0
 
 #: Buckets of the Poisson inversion table.  A power of two, so that u * B is
 #: exact and its integer part is the bucket that holds u.
@@ -316,6 +313,8 @@ def estimate(
     pending = deque(range(len(seeds)))
     work = (op, table, n_trials, seeds, pending)
     threads = min(len(seeds), _available_cpus())
+    # One thread runs here, not in a pool: for one chunk (any --mc-trials point under
+    # 2^14) a pool took 267 us, not 94, at 1,000 trials, and 882, not 623, at 10,000 (2-vCPU Xeon).
     if threads == 1:
         counts = _count_chunks(*work)
     else:

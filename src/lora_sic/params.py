@@ -12,6 +12,9 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0
 #: Default master seed for every randomized entry point (never wall-clock).
 DEFAULT_SEED = 42
 
+#: Largest intensity ``plan`` searches and the Monte Carlo can simulate.
+MAX_ALPHA = 10.0
+
 
 def _record(typename: str, required: str = "", **defaults: object) -> type:
     """A namedtuple base: the space-separated ``required`` fields, then

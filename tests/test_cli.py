@@ -229,6 +229,27 @@ def test_infeasible_plan_exit_status(capsys):
     assert "exceeds the zero-load coverage" in err
 
 
+@pytest.mark.parametrize("radius", ["1234.5", "5000"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--target", "0.5"],
+        ["plan", "--target", "0.5", "--sic"],
+        ["sweep", "--var", "alpha", "--start", "0.1", "--stop", "1", "--step", "0.1"],
+        ["sweep", "--var", "gamma_db", "--start", "0", "--stop", "6", "--step", "1"],
+    ],
+    ids=["plan", "plan --sic", "sweep alpha", "sweep gamma_db"],
+)
+def test_plan_and_sweep_default_to_the_configured_cell_edge(capsys, radius, argv):
+    # Without --d1 they study the worst-case node of the configured cell, not
+    # a node 3000 m out, which a 1234.5 m cell does not reach and which is an
+    # interior ring-4 node of a 5000 m cell.
+    config = ["--set", f"radius_m={radius}"]
+    default = _run(capsys, [*config, *argv])
+    assert default[0] == 0
+    assert default == _run(capsys, [*config, *argv, "--d1", radius])
+
+
 def test_bad_override_exit_status(capsys):
     code, _, _ = _run(capsys, ["--set", "path_loss_exp=1.5", "table1"])
     assert code == 2

@@ -23,8 +23,11 @@ printed one, now counted from the printed alpha*, and a gamma_db sweep with
 Monte Carlo columns taken before sweep rows were written through one format
 template.  Last, a ``capacity`` row at a 15-digit alpha that prints as
 0.5451574, whose counts used to be rounded from the unprinted alpha (5951 at
-SF7) and now follow the printed one (5952).  Change a record only for an
-intended output change, and say which and why in CHANGES.md.
+SF7) and now follow the printed one (5952).  The last three, in a 1234.5 m
+and a 1500 m cell, were taken when ``plan`` and ``sweep`` started to default
+to the configured cell edge and ``validate`` to place its points by ring;
+before, each exited 2 on a 3000 m point outside the cell.  Change a record
+only for an intended output change, and say which and why in CHANGES.md.
 """
 
 import json

@@ -5,8 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from lora_sic import mcsim
+from lora_sic import experiments, mcsim
 from lora_sic.analytic import _operating_point, coverage, default_config
+from lora_sic.experiments import InfeasibleTargetError, find_alpha_for_target
 from lora_sic.mcsim import (
     _BUCKETS,
     CHUNK_TRIALS,
@@ -213,6 +214,21 @@ def test_estimate_rejects_bad_arguments(cfg):
         estimate(3000.0, cfg, math.nan, 100)
     with pytest.raises(ValueError, match="^distance must be a number"):
         estimate(math.nan, cfg, 1.0, 100)
+
+
+def test_plan_searches_no_further_than_the_simulator_reaches(cfg):
+    # One bound for both: plan refuses a target still exceeded at MAX_ALPHA,
+    # and every alpha* it can print up to that bound, the bound included, is
+    # a load the Monte Carlo simulates.
+    assert mcsim.MAX_ALPHA is experiments.MAX_ALPHA == 10.0
+    assert not hasattr(experiments, "ALPHA_MAX")
+    with pytest.raises(InfeasibleTargetError) as info:
+        find_alpha_for_target(0.8, 10.0, cfg, with_sic=True)
+    assert str(info.value) == "objective still exceeds 0.8 at alpha_max=10.0"
+    assert estimate(3000.0, cfg, mcsim.MAX_ALPHA, 1000).captured.trials == 1000
+    beyond = math.nextafter(mcsim.MAX_ALPHA, math.inf)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 10.0\], got 10.000000000000002$"):
+        estimate(3000.0, cfg, beyond, 1000)
 
 
 def test_derive_seed_spreads_indices():
