@@ -5,9 +5,9 @@ import argparse
 import sys
 
 from lora_sic.analytic import default_config
+from lora_sic.cli import _printed_capacity
 from lora_sic.cli import main as cli_main
-from lora_sic.experiments import capacity_table, find_alpha_for_target
-from lora_sic.params import default_sf_table
+from lora_sic.experiments import find_alpha_for_target
 
 
 def main() -> int:
@@ -25,8 +25,8 @@ def main() -> int:
     cfg = default_config()
     plain = find_alpha_for_target(args.target, cfg.radius_m, cfg, with_sic=False)
     sic = find_alpha_for_target(args.target, cfg.radius_m, cfg, with_sic=True)
-    total_plain = capacity_table([plain], default_sf_table())[0].total
-    total_sic = capacity_table([sic], default_sf_table())[0].total
+    # Counted as `lora-sic plan` counts them: from alpha* as its CSV prints it.
+    total_plain, total_sic = (row.total for row in _printed_capacity([plain, sic]))
     print(f"\n# planning for border coverage >= {args.target}")
     print(f"alpha* without SIC = {plain:.4f}  -> {total_plain} nodes")
     print(f"alpha* with SIC    = {sic:.4f}  -> {total_sic} nodes")

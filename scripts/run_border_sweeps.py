@@ -12,13 +12,14 @@ import sys
 from pathlib import Path
 
 from lora_sic.cli import main as cli_main
+from lora_sic.params import DEFAULT_SEED
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="out", help="output directory")
     parser.add_argument("--mc-trials", type=int, default=0)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from lora_sic import NetworkConfig
+from lora_sic import DEFAULT_SEED, NetworkConfig
 from lora_sic.cli import main as cli_main
 
 
@@ -20,7 +20,7 @@ def main() -> int:
     parser.add_argument("--out-dir", default="out", help="output directory")
     parser.add_argument("--step", type=float, default=10.0)
     parser.add_argument("--mc-trials", type=int, default=0)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)

@@ -10,7 +10,6 @@ from .analytic import (
     CoverageBreakdown,
     coverage,
     default_config,
-    path_loss_gain,
     single_interferer_given_collision,
 )
 from .experiments import (
@@ -66,7 +65,6 @@ __all__ = [
     "interferer_intensity",
     "nodes_from_alpha",
     "noise_power_dbm",
-    "path_loss_gain",
     "resolve_intensity",
     "ring_area",
     "ring_of",

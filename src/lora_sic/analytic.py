@@ -46,13 +46,6 @@ class CoverageBreakdown(_record("CoverageBreakdown", "h1 q1 q2 c1 c1_sic")):
                 raise ValueError(f"{name}={value} is not a probability")
 
 
-def path_loss_gain(d: float, cfg: NetworkConfig) -> float:
-    """Free-space-style power gain (wavelength / 4 pi d)^eta."""
-    if d <= 0:
-        raise ValueError(f"distance must be positive, got {d}")
-    return (cfg.wavelength_m / (4.0 * math.pi * d)) ** cfg.path_loss_exp
-
-
 class _OperatingPoint(NamedTuple):
     """The link budget at one reference distance, shared by both models.
 
@@ -63,7 +56,6 @@ class _OperatingPoint(NamedTuple):
     """
 
     d1: float
-    ring: int
     l_lo: float
     l_hi: float
     gamma: float
@@ -86,7 +78,10 @@ def _operating_point(d1: float, cfg: NetworkConfig) -> _OperatingPoint:
     ring = ring_of(d1, cfg)
     q_lin = db_to_linear(default_sf_table()[ring - 1].snr_threshold_db)
     try:
-        mean_rx_mw = cfg.tx_power_mw * path_loss_gain(d1, cfg)
+        # Free-space-style power gain (wavelength / 4 pi d1)^eta; ring_of has
+        # already refused d1 <= 0.
+        gain = (cfg.wavelength_m / (4.0 * math.pi * d1)) ** cfg.path_loss_exp
+        mean_rx_mw = cfg.tx_power_mw * gain
     except OverflowError:
         mean_rx_mw = math.inf
     if not 0.0 < mean_rx_mw < math.inf:
@@ -96,7 +91,7 @@ def _operating_point(d1: float, cfg: NetworkConfig) -> _OperatingPoint:
         )
     demand = cfg.noise_power_mw * q_lin / mean_rx_mw
     l_lo, l_hi = cfg.boundaries[ring - 1], cfg.boundaries[ring]
-    return _OperatingPoint(d1, ring, l_lo, l_hi, cfg.gamma, cfg.path_loss_exp, demand)
+    return _OperatingPoint(d1, l_lo, l_hi, cfg.gamma, cfg.path_loss_exp, demand)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -12,7 +12,6 @@ from typing import IO, Iterable, Sequence
 from .analytic import coverage, single_interferer_given_collision
 from .experiments import (
     CapacityRow,
-    InfeasibleTargetError,
     SweepSpec,
     _d1_or_edge,
     capacity_table,
@@ -20,13 +19,8 @@ from .experiments import (
     resolve_intensity,
     sweep,
 )
-from .geometry import OutOfCoverageError
 from .params import DEFAULT_SEED, NetworkConfig, SfParams, default_sf_table
 from .specfun import ConvergenceError
-
-#: Every config key with its default.
-_CONFIG_DEFAULTS: dict[str, float] = NetworkConfig._field_defaults
-
 
 class UsageError(Exception):
     """Bad command line; maps to exit status 1."""
@@ -50,7 +44,7 @@ def _finite_float(text: str) -> float:
 
 
 def _set_value(values: dict[str, float], key: str, raw_value: str, where: str) -> None:
-    if key not in _CONFIG_DEFAULTS:
+    if key not in NetworkConfig._fields:
         raise ValueError(f"unknown config key: {key!r}")
     try:
         value = float(raw_value.strip())
@@ -66,7 +60,8 @@ def _set_value(values: dict[str, float], key: str, raw_value: str, where: str) -
 
 
 def _parse_values(text: str) -> dict[str, float]:
-    values = dict(_CONFIG_DEFAULTS)
+    # Only the keys the text names: NetworkConfig supplies the other defaults.
+    values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -356,7 +351,7 @@ def _load_config(args: argparse.Namespace) -> NetworkConfig:
         with open(args.config, encoding="utf-8") as fh:
             values = _parse_values(fh.read())
     else:
-        values = dict(_CONFIG_DEFAULTS)
+        values = {}
     for pair in args.overrides:
         if "=" not in pair:
             raise UsageError(f"--set expects KEY=VALUE, got {pair!r}")
@@ -383,7 +378,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (
-        ValueError, ArithmeticError, OutOfCoverageError, InfeasibleTargetError, ConvergenceError,
+        ValueError, ArithmeticError, ConvergenceError,
         OSError,  # an unreadable --config or unwritable --output; the message names the path
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

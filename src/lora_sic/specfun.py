@@ -3,8 +3,9 @@
 This is the one special function the closed-form coverage expressions need:
 ``(L^2/2) * 2F1(1, 2/eta; 1+2/eta; -c L^eta)`` is the antiderivative of
 ``x / (1 + c x^eta)`` evaluated at ``L``, which is how it enters both capture
-integrals.  Only the (1, b; 1+b) parameter family with b in (0, 1] and
-nonpositive argument is supported.
+integrals.  Only the (1, b; 1+b) parameter family with b in (0, 1) and
+nonpositive argument is supported: the model's path-loss exponent eta = 2/b
+exceeds 2.
 """
 
 from __future__ import annotations
@@ -31,27 +32,24 @@ _PFAFF_MAX = 1.5
 
 
 def hyp2f1_1b(b: float, z: float) -> float:
-    """2F1(1, b; 1+b; z) for 0 < b <= 1 and z <= 0.
+    """2F1(1, b; 1+b; z) for b in (0, 1) and z <= 0.
 
     The value lies in (0, 1].  Against 40-digit mpmath over eta = 2/b in
     [2.0001, 8] and z in [-1e12, -1e-6], the worst relative error measured is
     7.6e-16 (63 values of eta by 73 log-spaced z), in every branch and as
-    b -> 1.  eta = 2, i.e. b = 1 exactly, uses a closed logarithmic form.
+    b -> 1.  b = 1 (eta = 2) is refused: NetworkConfig requires eta > 2.
 
     Evaluation: direct power series for small |z|, a Pfaff-transformed series
     for moderate |z|, and a 1/z reflection through the incomplete beta
     decomposition for large |z|, so the term count stays bounded for every
     z <= 0 instead of growing with |z|.
     """
-    if not 0.0 < b <= 1.0:
-        raise ValueError(f"b must lie in (0, 1], got {b}")
+    if not 0.0 < b < 1.0:
+        raise ValueError(f"b must lie in (0, 1), got {b}")
     if z > 0.0:
         raise ValueError(f"z must be nonpositive, got {z}")
-    if z == 0.0:
+    if z == 0.0:  # ring 1's inner edge, l_lo = 0, on every ring-1 kernel
         return 1.0
-    if b == 1.0:
-        # 2F1(1,1;2;z) = -ln(1-z)/z
-        return -math.log1p(-z) / z
     if z >= -_DIRECT_MAX:
         return _series_direct(b, z)
     if z >= -_PFAFF_MAX:

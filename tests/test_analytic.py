@@ -6,7 +6,6 @@ from lora_sic import analytic
 from lora_sic.analytic import (
     coverage,
     default_config,
-    path_loss_gain,
     single_interferer_given_collision,
 )
 from lora_sic.experiments import SweepSpec, capacity_table, sweep
@@ -52,17 +51,23 @@ def test_wavelength_anchor(cfg):
 
 
 def test_path_loss_gain_at_border(cfg):
-    assert path_loss_gain(3000.0, cfg) == pytest.approx(7.826114487474150e-15, rel=1e-12)
+    # demand = noise * SNR threshold / (tx power * path gain), ring 6 at SF12.
+    q_lin = db_to_linear(default_sf_table()[5].snr_threshold_db)
+    gain = 7.826114487474150e-15
+    expected = cfg.noise_power_mw * q_lin / (cfg.tx_power_mw * gain)
+    assert analytic._operating_point(3000.0, cfg).demand == pytest.approx(expected, rel=1e-12)
 
 
 def test_path_loss_power_law_scaling(cfg):
-    ratio = path_loss_gain(2000.0, cfg) / path_loss_gain(1000.0, cfg)
-    assert ratio == pytest.approx(2.0**-2.8, rel=1e-12)
+    # Both points lie in ring 6, so the SNR threshold cancels from the ratio.
+    ratio = analytic._operating_point(2800.0, cfg).demand / analytic._operating_point(2600.0, cfg).demand
+    assert ratio == pytest.approx((2800.0 / 2600.0) ** 2.8, rel=1e-12)
 
 
 def test_path_loss_rejects_nonpositive_distance(cfg):
-    with pytest.raises(ValueError):
-        path_loss_gain(0.0, cfg)
+    for d1 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="distance must be positive"):
+            analytic._operating_point(d1, cfg)
 
 
 def test_connection_probability_near_gateway_limit(cfg):

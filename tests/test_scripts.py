@@ -26,6 +26,14 @@ def test_reproduce_tables(tmp_path):
     assert "alpha* with SIC    = 0.5096  -> 11948 nodes" in proc.stdout
 
 
+def test_reproduce_tables_counts_nodes_as_plan_prints_them(tmp_path):
+    # `lora-sic plan --sic` prints alpha* as 1.5570028 and counts 36508 nodes
+    # from that; the unrounded alpha* would count 36507.
+    proc = _run("reproduce_tables.py", "--target", "0.496194", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "alpha* with SIC    = 1.5570  -> 36508 nodes" in proc.stdout
+
+
 @pytest.mark.parametrize(
     "script, args, written",
     [

@@ -7,23 +7,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import hyp2f1 as scipy_hyp2f1
 
-from lora_sic import specfun
+from lora_sic import analytic, specfun
+from lora_sic.params import NetworkConfig
 from lora_sic.specfun import ConvergenceError, hyp2f1_1b
 from quadrature import q2_integral_quadrature
 
 # Arguments spanning all three evaluation branches.
 Z_GRID = [0.0, -1e-12, -1e-3, -0.1, -0.3, -0.5, -0.7, -0.9, -1.0, -1.2, -1.5,
           -2.0, -5.0, -10.0, -1e2, -1e3, -1e4, -1e5, -1e6]
-B_GRID = [0.05, 1.0 / 3.0, 0.5, 5.0 / 7.0, 0.9, 0.99, 1.0]
+B_GRID = [0.05, 1.0 / 3.0, 0.5, 5.0 / 7.0, 0.9, 0.99]
 
 
 def test_unit_value_at_zero_argument():
     for b in B_GRID:
         assert hyp2f1_1b(b, 0.0) == 1.0
-
-
-def test_logarithmic_closed_form_at_b_one():
-    assert hyp2f1_1b(1.0, -1.0) == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_deep_argument_frozen_value():
@@ -65,7 +62,7 @@ def test_pfaff_transform_consistency(b):
 
 
 @given(
-    b=st.floats(min_value=0.05, max_value=1.0),
+    b=st.floats(min_value=0.05, max_value=1.0, exclude_max=True),
     z=st.floats(min_value=-1e6, max_value=0.0),
 )
 def test_value_lies_in_unit_interval(b, z):
@@ -74,7 +71,7 @@ def test_value_lies_in_unit_interval(b, z):
 
 
 @given(
-    b=st.floats(min_value=0.05, max_value=1.0),
+    b=st.floats(min_value=0.05, max_value=1.0, exclude_max=True),
     z1=st.floats(min_value=-1e6, max_value=0.0),
     z2=st.floats(min_value=-1e6, max_value=0.0),
 )
@@ -83,9 +80,11 @@ def test_monotone_decreasing_in_argument_magnitude(b, z1, z2):
     assert hyp2f1_1b(b, lo) <= hyp2f1_1b(b, hi) + 1e-12
 
 
-@pytest.mark.parametrize("b, z", [(0.0, -1.0), (-0.5, -1.0), (1.1, -1.0), (0.5, 0.5)])
+@pytest.mark.parametrize(
+    "b, z", [(0.0, -1.0), (-0.5, -1.0), (1.0, -1.0), (1.1, -1.0), (0.5, 0.5)]
+)
 def test_domain_errors(b, z):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"b must lie in \(0, 1\)|z must be nonpositive"):
         hyp2f1_1b(b, z)
 
 
@@ -112,22 +111,17 @@ def test_quadrature_matches_log_form_at_eta_two(d1, gamma, lo, hi):
 
 
 def test_hypergeometric_route_matches_log_form_at_eta_two():
+    # hyp2f1_1b refuses b = 1 itself; one ulp below it, the route still
+    # reaches the eta = 2 logarithmic limit.
+    b = math.nextafter(1.0, 0.0)
     d1, gamma, lo, hi = 2800.0, 1.26, 2500.0, 3000.0
     bracket = (
-        hi**2 * hyp2f1_1b(1.0, -gamma * hi**2 / d1**2)
-        - lo**2 * hyp2f1_1b(1.0, -gamma * lo**2 / d1**2)
+        hi**2 * hyp2f1_1b(b, -gamma * hi**2 / d1**2)
+        - lo**2 * hyp2f1_1b(b, -gamma * lo**2 / d1**2)
     ) / (hi**2 - lo**2)
     assert bracket == pytest.approx(
         q2_integral_quadrature(d1, gamma, 2.0, lo, hi), rel=1e-9
     )
-
-
-def _closed_form_kernel(d1, gamma, eta, lo, hi):
-    b = 2.0 / eta
-    d_eta = d1**eta
-    hi_term = hi**2 * hyp2f1_1b(b, -gamma * hi**eta / d_eta)
-    lo_term = lo**2 * hyp2f1_1b(b, -gamma * lo**eta / d_eta) if lo > 0 else 0.0
-    return (hi_term - lo_term) / (hi**2 - lo**2)
 
 
 def test_closed_form_and_quadrature_agree_on_random_tuples():
@@ -139,9 +133,21 @@ def test_closed_form_and_quadrature_agree_on_random_tuples():
         d1 = math.sqrt(max(lo, 0.05 * hi) ** 2 + rng.random() * (hi**2 - max(lo, 0.05 * hi) ** 2))
         gamma = 10 ** rng.uniform(-0.3, 1.0)
         eta = rng.uniform(2.05, 6.0)
-        closed = _closed_form_kernel(d1, gamma, eta, lo, hi)
+        closed = analytic._ring_capture_kernel(d1, gamma, eta, lo, hi)
         quad = q2_integral_quadrature(d1, gamma, eta, lo, hi)
         assert closed == pytest.approx(quad, rel=1e-8)
+
+
+@pytest.mark.parametrize("d1", [250.0, 1750.0, 3000.0])
+def test_kernels_at_the_nearest_exponent_above_two_match_quadrature(d1):
+    # The smallest path_loss_exp NetworkConfig takes puts b = 2/eta at
+    # 1 - 2**-52, the edge of hyp2f1_1b's domain (rings 1, 4 and 6).
+    cfg = NetworkConfig(path_loss_exp=math.nextafter(2.0, math.inf))
+    assert 2.0 / cfg.path_loss_exp < 1.0
+    op = analytic._operating_point(d1, cfg)
+    for threshold in (op.gamma, 1.0 / op.gamma):
+        quad = q2_integral_quadrature(d1, threshold, op.eta, op.l_lo, op.l_hi)
+        assert op.kernel(threshold) == pytest.approx(quad, rel=1e-8), threshold
 
 
 @pytest.mark.parametrize(
@@ -177,8 +183,6 @@ _REF_REL_EPS = 1e-16
 def _ref_hyp2f1_1b(b, z):
     if z == 0.0:
         return 1.0
-    if b == 1.0:
-        return -math.log1p(-z) / z
     if z >= -0.5:
         return _ref_series_direct(b, z)
     if z >= -1.5:
@@ -285,11 +289,6 @@ def test_bit_identical_to_reference_around_the_branch_cutovers(cutover):
         b = 2.0 / eta
         for z in zs:
             assert hyp2f1_1b(b, z) == _ref_hyp2f1_1b(b, z), f"b={b} z={z!r}"
-
-
-def test_bit_identical_to_reference_at_b_one():
-    for z in [-1e-8, -0.25, -0.5, -1.0, -1.5, -10.0, -1e6, -1e14]:
-        assert hyp2f1_1b(1.0, z) == _ref_hyp2f1_1b(1.0, z), f"z={z}"
 
 
 # --- the per-b ratio tables -------------------------------------------------
