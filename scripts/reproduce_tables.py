@@ -4,10 +4,10 @@
 import argparse
 import sys
 
-from lora_sic.analytic import default_config
 from lora_sic.cli import _printed_capacity
 from lora_sic.cli import main as cli_main
 from lora_sic.experiments import find_alpha_for_target
+from lora_sic.params import NetworkConfig
 
 
 def main() -> int:
@@ -16,15 +16,20 @@ def main() -> int:
                         help="coverage target for the planning example")
     args = parser.parse_args()
 
+    cfg = NetworkConfig()
+    try:
+        plain = find_alpha_for_target(args.target, cfg.radius_m, cfg, with_sic=False)
+        sic = find_alpha_for_target(args.target, cfg.radius_m, cfg, with_sic=True)
+    except ValueError as exc:  # refused as `lora-sic plan` refuses it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     print("# SF uplink characteristics")
     cli_main(["table1"])
 
     print("\n# capacity at alpha = 0.20, 0.52, 1")
     cli_main(["capacity", "--alphas", "0.20,0.52,1"])
 
-    cfg = default_config()
-    plain = find_alpha_for_target(args.target, cfg.radius_m, cfg, with_sic=False)
-    sic = find_alpha_for_target(args.target, cfg.radius_m, cfg, with_sic=True)
     # Counted as `lora-sic plan` counts them: from alpha* as its CSV prints it.
     total_plain, total_sic = (row.total for row in _printed_capacity([plain, sic]))
     print(f"\n# planning for border coverage >= {args.target}")

@@ -53,6 +53,8 @@ class _OperatingPoint(NamedTuple):
     reference signal is its fading h ~ Exp(1), an interferer at D arrives
     with h_i (d1/D)^eta, and ``demand`` is the noise power times the ring's
     SNR threshold.  The node connects when h >= demand, so h1 = e^-demand.
+    ``k1`` and ``k2`` are the alpha-independent ring kernels at thresholds
+    1/gamma (capture) and gamma (SIC).
     """
 
     d1: float
@@ -61,18 +63,17 @@ class _OperatingPoint(NamedTuple):
     gamma: float
     eta: float
     demand: float
-
-    def kernel(self, threshold: float) -> float:
-        """Probability that one ring interferer beats the reference by ``threshold``."""
-        return _ring_capture_kernel(self.d1, threshold, self.eta, self.l_lo, self.l_hi)
+    k1: float
+    k2: float
 
 
 @functools.lru_cache(maxsize=256)
 def _operating_point(d1: float, cfg: NetworkConfig) -> _OperatingPoint:
-    # Memoized: an alpha sweep, a plan and an MC estimate each ask for one
-    # (d1, cfg) many times.  NetworkConfig is frozen and hashes its nine
-    # fields, from which every derived field follows, so equal configs give
-    # equal points; an error is raised again on every call, never cached.
+    # Memoized, with both ring kernels: an alpha sweep, a plan and an MC
+    # estimate each ask for one (d1, cfg) many times.  NetworkConfig is frozen
+    # and hashes its nine fields, from which every derived field follows, so
+    # equal configs give equal points; an error is raised again on every
+    # call, never cached.
     # The cap covers the repeats within one command; it is not meant to keep
     # points from one command to the next.
     ring = ring_of(d1, cfg)
@@ -91,10 +92,13 @@ def _operating_point(d1: float, cfg: NetworkConfig) -> _OperatingPoint:
         )
     demand = cfg.noise_power_mw * q_lin / mean_rx_mw
     l_lo, l_hi = cfg.boundaries[ring - 1], cfg.boundaries[ring]
-    return _OperatingPoint(d1, l_lo, l_hi, cfg.gamma, cfg.path_loss_exp, demand)
+    # Both kernels at every point, so a point either model refuses is refused
+    # by every command, the simulator's included.
+    k1 = _ring_capture_kernel(d1, 1.0 / cfg.gamma, cfg.path_loss_exp, l_lo, l_hi)
+    k2 = _ring_capture_kernel(d1, cfg.gamma, cfg.path_loss_exp, l_lo, l_hi)
+    return _OperatingPoint(d1, l_lo, l_hi, cfg.gamma, cfg.path_loss_exp, demand, k1, k2)
 
 
-@functools.lru_cache(maxsize=1024)
 def _ring_capture_kernel(
     d1: float, gamma_lin: float, eta: float, l_lo: float, l_hi: float
 ) -> float:
@@ -105,9 +109,8 @@ def _ring_capture_kernel(
     hypergeometric antiderivative of x/(1 + c x^eta); the test suite checks
     it against adaptive quadrature of the same integral.
 
-    The kernel does not depend on the interferer intensity, so it is memoized:
-    an alpha sweep or a ``plan`` at one d1 evaluates it once per threshold
-    instead of once per point.
+    The kernel does not depend on the interferer intensity, so
+    :func:`_operating_point` evaluates it once per threshold and point.
 
     Powers of the ring edges and of d1 can leave floating-point range (an
     ``OverflowError``, or a ``math`` domain ``ValueError`` once the argument
@@ -133,13 +136,13 @@ def _q1(op: _OperatingPoint, alpha_i: float) -> float:
     # threshold: exp(-alpha E[gamma d1^eta / (gamma d1^eta + D^eta)]).
     # Suppressing one interferer at D is winning the pairwise comparison at
     # threshold 1/gamma with the roles of the two nodes swapped.
-    return math.exp(-alpha_i * op.kernel(1.0 / op.gamma)) if alpha_i else 1.0
+    return math.exp(-alpha_i * op.k1) if alpha_i else 1.0
 
 
 def _q2(op: _OperatingPoint, alpha_i: float) -> float:
     # Exactly one interferer (alpha e^-alpha) that is itself capturable, so
     # the gateway decodes and cancels it, then recovers the reference.
-    return alpha_i * math.exp(-alpha_i) * op.kernel(op.gamma) if alpha_i else 0.0
+    return alpha_i * math.exp(-alpha_i) * op.k2 if alpha_i else 0.0
 
 
 def coverage(d1: float, cfg: NetworkConfig, alpha_i: float) -> CoverageBreakdown:

@@ -11,6 +11,7 @@ from typing import IO, Iterable, Sequence
 
 from .analytic import coverage, single_interferer_given_collision
 from .experiments import (
+    SWEEP_VARIABLES,
     CapacityRow,
     SweepSpec,
     _d1_or_edge,
@@ -305,7 +306,7 @@ def _build_parser() -> _Parser:
     _pinning(p)
 
     p = sub.add_parser("sweep", help="grid sweep of the breakdown")
-    p.add_argument("--var", choices=("d1", "alpha", "gamma_db"), required=True)
+    p.add_argument("--var", choices=SWEEP_VARIABLES, required=True)
     p.add_argument("--start", type=_finite_float, required=True)
     p.add_argument("--stop", type=_finite_float, required=True)
     p.add_argument("--step", type=_finite_float, required=True)

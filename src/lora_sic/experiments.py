@@ -166,8 +166,9 @@ def find_alpha_for_target(
     """Largest intensity whose coverage probability still meets ``target``.
 
     Inverts the closed form c(alpha) = h1 (e^(-alpha K1) + [SIC] alpha
-    e^(-alpha) K2), where K1 = kernel(1/gamma) and K2 = kernel(gamma) are the
-    two alpha-independent ring kernels; c(alpha) is the c1 (or c1_sic) that
+    e^(-alpha) K2), where K1 and K2 are the two alpha-independent ring
+    kernels at thresholds 1/gamma and gamma, computed once with the operating
+    point (its fields ``k1`` and ``k2``); c(alpha) is the c1 (or c1_sic) that
     :func:`coverage` reports.  Bisection runs until the bracket holds two
     adjacent doubles, so the result is exact to double precision.
 

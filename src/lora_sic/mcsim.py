@@ -24,6 +24,10 @@ from .params import DEFAULT_SEED, MAX_ALPHA, NetworkConfig
 #: Trials per chunk; fixed so a seed always yields the same chunk streams.
 CHUNK_TRIALS = 1 << 14
 
+#: Most trials one estimate takes: 2^20 chunks, whose seed list alone holds
+#: about 40 MB.  A larger count is refused before any seed is derived.
+MAX_TRIALS = 1 << 34
+
 #: Buckets of the Poisson inversion table.  A power of two, so that u * B is
 #: exact and its integer part is the bucket that holds u.
 _BUCKETS = 1 << 12
@@ -301,9 +305,12 @@ def estimate(
 
     The single-interferer estimate conditions on collision trials, so its
     ``trials`` field is the collision count (NaN mean if none occurred).
+    ``n_trials`` must lie in [1, :data:`MAX_TRIALS`].
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    if n_trials > MAX_TRIALS:
+        raise ValueError(f"n_trials must be at most {MAX_TRIALS}, got {n_trials}")
     op = _operating_point(d1, cfg)  # validates coverage up front
     table = _poisson_table(alpha_i)
     # Seeds are derived here, not in the workers, so that every call of the

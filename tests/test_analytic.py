@@ -8,7 +8,7 @@ from lora_sic.analytic import (
     default_config,
     single_interferer_given_collision,
 )
-from lora_sic.experiments import SweepSpec, capacity_table, sweep
+from lora_sic.experiments import SweepSpec, capacity_table, find_alpha_for_target, sweep
 from lora_sic.geometry import OutOfCoverageError, ring_of
 from lora_sic.params import db_to_linear, default_sf_table
 from lora_sic.specfun import hyp2f1_1b
@@ -271,12 +271,35 @@ def test_alpha_sweep_evaluates_each_ring_kernel_once(cfg, monkeypatch):
         calls.append((b, z))
         return hyp2f1_1b(b, z)
 
-    analytic._ring_capture_kernel.cache_clear()
+    analytic._operating_point.cache_clear()
     monkeypatch.setattr(analytic, "hyp2f1_1b", counting_hyp2f1)
     rows = sweep(SweepSpec(variable="alpha", start=0.05, stop=5.0, step=0.05), cfg)
     assert len(rows) == 100
     # Two kernels (thresholds gamma and 1/gamma), two hypergeometric terms each.
     assert len(calls) <= 4
+
+
+def test_ring_kernels_are_evaluated_once_per_operating_point(cfg, monkeypatch):
+    """A new point evaluates both kernels; sweeps and plans at it read them."""
+    calls = []
+
+    def counting_kernel(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    kernel = analytic._ring_capture_kernel
+    analytic._operating_point.cache_clear()
+    monkeypatch.setattr(analytic, "_ring_capture_kernel", counting_kernel)
+    op = analytic._operating_point(1851.923, cfg)
+    assert [args[1] for args in calls] == [1.0 / cfg.gamma, cfg.gamma]
+    assert (op.k1, op.k2) == tuple(kernel(*args) for args in calls)
+
+    calls.clear()
+    rows = sweep(SweepSpec(variable="alpha", start=0.05, stop=5.0, step=0.05, d1=3000.0), cfg)
+    assert len(rows) == 100
+    find_alpha_for_target(0.8, 3000.0, cfg, with_sic=False)
+    find_alpha_for_target(0.8, 3000.0, cfg, with_sic=True)
+    assert len(calls) == 2
 
 
 # --- the operating-point memo ------------------------------------------------

@@ -298,6 +298,18 @@ def _at_border(override):
             "alpha=1.7976931348623157e+308",
             id="capacity max float",
         ),
+        # One seed per 2^14-trial chunk of 10^15 trials would exhaust memory,
+        # so the count is refused before any seed is derived.
+        *(
+            pytest.param([*argv, "1000000000000000"], "n_trials must be at most 17179869184",
+                         id=f"{argv[0]} 1e15 trials")
+            for argv in (
+                ["mc", "--d1", "3000", "--alpha", "1", "--trials"],
+                ["validate", "--trials"],
+                ["sweep", "--var", "alpha", "--start", "1", "--stop", "1", "--step", "1",
+                 "--mc-trials"],
+            )
+        ),
     ],
 )
 def test_arithmetic_error_exit_status(capsys, argv, name):
@@ -307,6 +319,22 @@ def test_arithmetic_error_exit_status(capsys, argv, name):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert name in err
+
+
+def test_every_command_refuses_a_point_whose_ring_kernel_overflows(capsys):
+    # At 3000 dB only the SIC kernel (threshold gamma) leaves floating-point
+    # range, yet the commands that never read it refuse the point too.
+    config = ["--set", "gamma_db=3000"]
+    refusal = _run(capsys, [*config, "coverage", "--d1", "3000", "--alpha", "1"])
+    assert refusal[0] == 2 and refusal[1] == ""
+    assert refusal[2].startswith("error: ring capture kernel out of floating-point range")
+    assert refusal[2].count("\n") == 1
+    for argv in (
+        ["mc", "--d1", "3000", "--alpha", "1", "--trials", "1000"],
+        ["plan", "--target", "0.3"],
+        ["coverage", "--d1", "3000", "--alpha", "0"],
+    ):
+        assert _run(capsys, [*config, *argv]) == refusal, argv
 
 
 def test_below_zero_db_refusal_names_the_caveat(capsys):

@@ -35,6 +35,19 @@ def test_reproduce_tables_counts_nodes_as_plan_prints_them(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "target, message",
+    [
+        ("0.95", "target 0.95 exceeds the zero-load coverage 0.904134 at d1=3000.0"),
+        ("nan", "target must lie in (0, 1), got nan"),
+    ],
+)
+def test_reproduce_tables_refuses_a_target_as_plan_does(tmp_path, target, message):
+    proc = _run("reproduce_tables.py", "--target", target, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "script, args, written",
     [
         ("run_border_sweeps.py", [], ["border_alpha_sweep.csv", "border_gamma_sweep.csv"]),

@@ -145,9 +145,9 @@ def test_kernels_at_the_nearest_exponent_above_two_match_quadrature(d1):
     cfg = NetworkConfig(path_loss_exp=math.nextafter(2.0, math.inf))
     assert 2.0 / cfg.path_loss_exp < 1.0
     op = analytic._operating_point(d1, cfg)
-    for threshold in (op.gamma, 1.0 / op.gamma):
+    for kernel, threshold in ((op.k1, 1.0 / op.gamma), (op.k2, op.gamma)):
         quad = q2_integral_quadrature(d1, threshold, op.eta, op.l_lo, op.l_hi)
-        assert op.kernel(threshold) == pytest.approx(quad, rel=1e-8), threshold
+        assert kernel == pytest.approx(quad, rel=1e-8), threshold
 
 
 @pytest.mark.parametrize(
