@@ -1,28 +1,40 @@
 #!/usr/bin/env python3
-"""Print the SF characteristics table, the capacity table and the planning example."""
+"""Print the SF characteristics table, the capacity table and the planning example.
+
+Both planning rows come from ``lora-sic plan``: a target that plan refuses is
+refused here with plan's exit status and message, before any table prints.
+"""
 
 import argparse
+import contextlib
+import csv
+import io
 import sys
 
-from lora_sic.cli import _printed_capacity
 from lora_sic.cli import main as cli_main
-from lora_sic.experiments import find_alpha_for_target
-from lora_sic.params import NetworkConfig
 
 
-def main() -> int:
+def _plan(target: str, *sic: str) -> tuple[int, dict[str, str] | None]:
+    """Run ``lora-sic plan`` and return its exit status and CSV row."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli_main(["plan", "--target", target, *sic])
+    return status, next(csv.DictReader(io.StringIO(out.getvalue())), None)
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--target", type=float, default=0.8,
+    parser.add_argument("--target", default="0.8",
                         help="coverage target for the planning example")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    cfg = NetworkConfig()
-    try:
-        plain = find_alpha_for_target(args.target, cfg.radius_m, cfg, with_sic=False)
-        sic = find_alpha_for_target(args.target, cfg.radius_m, cfg, with_sic=True)
-    except ValueError as exc:  # refused as `lora-sic plan` refuses it
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plans = []
+    for flags in ([], ["--sic"]):
+        status, row = _plan(args.target, *flags)
+        if status:
+            return status
+        plans.append(row)
+    plain, sic = plans
 
     print("# SF uplink characteristics")
     cli_main(["table1"])
@@ -30,12 +42,12 @@ def main() -> int:
     print("\n# capacity at alpha = 0.20, 0.52, 1")
     cli_main(["capacity", "--alphas", "0.20,0.52,1"])
 
-    # Counted as `lora-sic plan` counts them: from alpha* as its CSV prints it.
-    total_plain, total_sic = (row.total for row in _printed_capacity([plain, sic]))
-    print(f"\n# planning for border coverage >= {args.target}")
-    print(f"alpha* without SIC = {plain:.4f}  -> {total_plain} nodes")
-    print(f"alpha* with SIC    = {sic:.4f}  -> {total_sic} nodes")
-    print(f"capacity gain      = {total_sic / total_plain:.2f}x")
+    total_plain, total_sic = int(plain["total"]), int(sic["total"])
+    gain = f"{total_sic / total_plain:.2f}x" if total_plain else "n/a"
+    print(f"\n# planning for border coverage >= {float(args.target)}")
+    print(f"alpha* without SIC = {float(plain['alpha_star']):.4f}  -> {total_plain} nodes")
+    print(f"alpha* with SIC    = {float(sic['alpha_star']):.4f}  -> {total_sic} nodes")
+    print(f"capacity gain      = {gain}")
     return 0
 
 

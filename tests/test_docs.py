@@ -1,8 +1,15 @@
-"""The README's configuration table matches the scenario record."""
+"""The README's configuration table, headline numbers and experiment commands
+match the program."""
 
+import csv
+import io
 import re
 from pathlib import Path
 
+import pytest
+
+import byte_corpus
+from lora_sic.cli import main as cli_main
 from lora_sic.cli import parse_config
 from lora_sic.params import NetworkConfig
 
@@ -24,3 +31,52 @@ def test_readme_config_table_lists_the_fields_and_defaults():
 
 def test_readme_library_example_holds():
     assert parse_config("gamma_db = 6") == NetworkConfig(gamma_db=6)
+
+
+@pytest.fixture(scope="module")
+def experiments(tmp_path_factory):
+    """The directory the README experiment commands ran in, and their files' digests."""
+    workdir = tmp_path_factory.mktemp("experiments")
+    return workdir, byte_corpus.experiment_digests(workdir)
+
+
+def test_readme_experiments_write_the_recorded_files(experiments):
+    _, digests = experiments
+    recorded = byte_corpus.recorded()
+    assert digests == {name: d for name, d in recorded.items() if name.endswith(".csv")}
+
+
+def _cli_row(capsys, *argv):
+    assert cli_main(list(argv)) == 0
+    return next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+
+def _readme_numbers(pattern):
+    # A line break in the README may fall at any space of the pattern.
+    found = re.search(pattern.replace(" ", r"\s+"), README.read_text(encoding="utf-8"))
+    assert found, pattern
+    return found.groups()
+
+
+def test_readme_headline_numbers_are_the_programs(capsys, experiments):
+    point = _cli_row(capsys, "coverage", "--d1", "3000", "--alpha", "1")
+    c1, c1_sic = float(point["c1"]), float(point["c1_sic"])
+    plain = _cli_row(capsys, "plan", "--target", "0.8")
+    sic = _cli_row(capsys, "plan", "--target", "0.8", "--sic")
+    gain = int(sic["total"]) / int(plain["total"])
+    assert _readme_numbers(
+        r"from ([\d.]+) to ([\d.]+), a (\d+)% reliability gain, and planning for 80% coverage"
+        r" supports ~([\d.]+)x more nodes"
+    ) == (f"{c1:.3f}", f"{c1_sic:.3f}", f"{100 * (c1_sic / c1 - 1):.0f}", f"{gain:.1f}")
+    assert _readme_numbers(
+        r"target 0.8\) `plan` gives `alpha_star = ([\d.]+)` \(([\d,]+) nodes\) without SIC"
+        r" and `([\d.]+)` \(([\d,]+) nodes\) with it, ([\d.]+)x as many"
+    ) == (plain["alpha_star"], f"{int(plain['total']):,}",
+          sic["alpha_star"], f"{int(sic['total']):,}", f"{gain:.2f}")
+
+    workdir, _ = experiments
+    edge = (workdir / "out" / "distance_sweep_nbar500.csv").read_text(encoding="utf-8")
+    edge = list(csv.DictReader(io.StringIO(edge)))[-1]
+    assert float(edge["x"]) == 3000.0
+    assert _readme_numbers(r"\(`c1 ~ ([\d.]+)`, `c1_sic ~ ([\d.]+)`\)") == (
+        f"{float(edge['c1']):.2f}", f"{float(edge['c1_sic']):.2f}")
