@@ -40,10 +40,20 @@ def experiments(tmp_path_factory):
     return workdir, byte_corpus.experiment_digests(workdir)
 
 
-def test_readme_experiments_write_the_recorded_files(experiments):
+# The README experiment files, by the experiment that writes them.
+EXPERIMENT_FILES = {
+    "border_sweeps": ["out/border_alpha_sweep.csv", "out/border_gamma_sweep.csv"],
+    "distance_sweep": ["out/distance_sweep_nbar500.csv"],
+}
+
+
+@pytest.mark.parametrize("files", EXPERIMENT_FILES.values(), ids=EXPERIMENT_FILES.keys())
+def test_readme_experiments_write_the_recorded_files(experiments, files):
     _, digests = experiments
     recorded = byte_corpus.recorded()
-    assert digests == {name: d for name, d in recorded.items() if name.endswith(".csv")}
+    every_file = sorted(name for names in EXPERIMENT_FILES.values() for name in names)
+    assert sorted(digests) == every_file == sorted(name for name in recorded if name.endswith(".csv"))
+    assert {name: digests[name] for name in files} == {name: recorded[name] for name in files}
 
 
 def _cli_row(capsys, *argv):
