@@ -119,21 +119,42 @@ def _poisson_counts(table: _PoissonTable, u: np.ndarray, bucket: np.ndarray) -> 
     return k
 
 
+def _collisions(
+    table: _PoissonTable, u: np.ndarray, bucket: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the trials that draw an interferer, and their Poisson counts.
+
+    u holds one count uniform per trial.  Inversion gives k(u) = #{cdf < u},
+    so k is 0 exactly where u <= cdf[0], and only the other trials are
+    inverted.  ``bucket`` is an intp buffer at least as long as u.
+    """
+    hit = np.flatnonzero(u > table[0][0])
+    return hit, _poisson_counts(table, u.take(hit), bucket[: len(hit)])
+
+
 def _outcome_counts(
     op: _OperatingPoint,
+    hit: np.ndarray,
     k: np.ndarray,
     u_fade: np.ndarray,
     u_dist: np.ndarray,
     u_int_fade: np.ndarray,
     index: np.ndarray,
 ) -> np.ndarray:
-    """Score trials given their interferer counts and uniform variates.
+    """Score trials given their collisions and uniform variates.
 
-    ``k`` and ``u_fade`` (reference fading) hold one entry per trial;
-    ``u_dist`` and ``u_int_fade`` hold one entry per interferer, trial by
-    trial, so their length is ``k.sum()``.  ``index`` is
-    ``np.arange(len(k))``, passed in so that a caller scoring many chunks
-    builds it once.  Fading powers are -ln(1-u).
+    ``u_fade`` (reference fading) holds one entry per trial.  ``hit`` lists
+    the collision trials, the ones with at least one interferer, in
+    increasing order, and ``k`` their interferer counts; ``u_dist`` and
+    ``u_int_fade`` hold one entry per interferer, trial by trial, so their
+    length is ``k.sum()``.  ``index`` is ``np.arange(len(k))``, passed in so
+    that a caller scoring many chunks builds it once.  Fading powers are
+    h = -ln(1-u), but they are kept as L = ln(1-u) = -h, and the interference
+    sum as S = -I, so every comparison is mirrored: h >= demand becomes
+    L <= -demand, h >= gamma I becomes L <= gamma S, and I >= gamma h becomes
+    S <= gamma L, each with the same truth value, because IEEE rounding is
+    symmetric in sign, so each product and sum of negated operands is
+    exactly the negation of the unnegated one.
     Powers are in units of the reference node's mean received power (see
     ``op``), so an interferer whose squared distance follows the ring's
     inverse CDF, D^2 = l_lo^2 + u (l_hi^2 - l_lo^2), arrives with power
@@ -143,9 +164,14 @@ def _outcome_counts(
 
     * connected  -- reference fading at least the noise demand
     * captured   -- reference fading at least gamma times the interference sum
-                    (vacuously true with no interferers)
+                    (true with no interferers, whose SIR is unbounded)
     * sic        -- exactly one interferer, it beats the reference by gamma,
                     and the reference sits above the noise demand
+
+    Only ``connected`` is evaluated on every trial.  The other outcomes are
+    evaluated on the collision trials alone; a trial without an interferer
+    is captured, never SIC decoded, and succeeds exactly when it connects,
+    so its share of each count follows from the totals.
 
     The SIC path needs the interferer above the noise demand too, but no
     clause checks it: for gamma >= 1 it follows from ``connected`` and
@@ -159,10 +185,10 @@ def _outcome_counts(
     """
     # The variates are transformed in place, so no float temporary per
     # interferer is allocated; the arithmetic matches the out-of-place
-    # -log1p(-u) and (d1^2 / (lo^2 + u (hi^2 - lo^2)))^(eta/2) exactly.
-    n = len(k)
-    h = _exp_fading(u_fade)
-    h_int = _exp_fading(u_int_fade)
+    # log1p(-u) and (d1^2 / (lo^2 + u (hi^2 - lo^2)))^(eta/2) exactly.
+    n, m = len(u_fade), len(hit)
+    log_h = _log_survival(u_fade)
+    log_h_int = _log_survival(u_int_fade)
     lo2 = op.l_lo * op.l_lo
     rel_gain = u_dist
     rel_gain *= op.l_hi * op.l_hi - lo2
@@ -170,25 +196,29 @@ def _outcome_counts(
     with np.errstate(divide="ignore"):  # (d1 / D)^eta, infinite at D = 0
         np.divide(op.d1 * op.d1, rel_gain, out=rel_gain)
     rel_gain **= op.eta / 2
-    weights = np.multiply(h_int, rel_gain, out=h_int)
+    weights = np.multiply(log_h_int, rel_gain, out=log_h_int)
     owner = np.repeat(index, k)
-    interference = np.bincount(owner, weights=weights, minlength=n)
+    neg_interference = np.bincount(owner, weights=weights, minlength=m)
 
-    connected = h >= op.demand
-    captured = (k == 0) | (h >= op.gamma * interference)
+    connected = np.count_nonzero(log_h <= -op.demand)
+    log_h = log_h.take(hit)  # from here on, collision trials only
+    connected_hit = log_h <= -op.demand
+    captured = log_h <= op.gamma * neg_interference
     single = k == 1
     # With k == 1 the interference sum is exactly the lone interferer's power.
-    sic = single & (interference >= op.gamma * h) & connected
-    success_c1 = connected & captured
-    success_sic = connected & (captured | sic)
+    sic = single & (neg_interference <= op.gamma * log_h) & connected_hit
+    # A trial without an interferer is captured, and succeeds if it connects.
+    free_connected = connected - np.count_nonzero(connected_hit)
+    success_c1 = connected_hit & captured
+    success_sic = connected_hit & (captured | sic)
     return np.array(
         [
             n,
-            np.count_nonzero(connected),
-            np.count_nonzero(captured),
-            np.count_nonzero(success_c1),
-            np.count_nonzero(success_sic),
-            np.count_nonzero(k),
+            connected,
+            n - m + np.count_nonzero(captured),
+            free_connected + np.count_nonzero(success_c1),
+            free_connected + np.count_nonzero(success_sic),
+            m,
             np.count_nonzero(single),
             np.count_nonzero(sic & captured),
         ],
@@ -196,11 +226,10 @@ def _outcome_counts(
     )
 
 
-def _exp_fading(u: np.ndarray) -> np.ndarray:
-    """Unit-mean exponential fading powers -ln(1-u), computed in place."""
+def _log_survival(u: np.ndarray) -> np.ndarray:
+    """Negated unit-mean exponential fading powers ln(1-u), computed in place."""
     np.negative(u, out=u)
-    np.log1p(u, out=u)
-    return np.negative(u, out=u)
+    return np.log1p(u, out=u)
 
 
 class _Scratch:
@@ -233,17 +262,19 @@ def _chunk_counts(
 ) -> np.ndarray:
     """Outcome counts over one chunk of n trials drawn from its own stream.
 
-    Draw order: interferer counts (Poisson by CDF inversion), reference
-    fadings, all interferer distances, all interferer fadings.
+    Draw order: one count uniform per trial, one reference fading per trial,
+    then all interferer distances and all interferer fadings.  Only the
+    collision trials, whose count uniform exceeds the table's P(K = 0), are
+    inverted to Poisson counts and scored against their interferers.
     """
     rng = np.random.Generator(np.random.PCG64(chunk_seed))
     u = scratch.trial[:n]
-    k = _poisson_counts(table, rng.random(out=u), scratch.bucket[:n])
+    hit, k = _collisions(table, rng.random(out=u), scratch.bucket)
     u_fade = rng.random(out=u)
     u_dist, u_int_fade = scratch.interferers(int(k.sum()))
     rng.random(out=u_dist)
     rng.random(out=u_int_fade)
-    return _outcome_counts(op, k, u_fade, u_dist, u_int_fade, scratch.index[:n])
+    return _outcome_counts(op, hit, k, u_fade, u_dist, u_int_fade, scratch.index[: len(hit)])
 
 
 def _available_cpus() -> int:

@@ -11,7 +11,9 @@ from lora_sic.experiments import InfeasibleTargetError, find_alpha_for_target
 from lora_sic.mcsim import (
     _BUCKETS,
     CHUNK_TRIALS,
+    MAX_ALPHA,
     _chunk_counts,
+    _collisions,
     _outcome_counts,
     _poisson_counts,
     _poisson_table,
@@ -33,13 +35,16 @@ def _u_exp(x):
 
 def _score(op, k, u_fade, u_dist=(), u_int_fade=()):
     """Named outcome counts of hand-built trials at operating point ``op``."""
+    k = np.asarray(k, dtype=np.intp)
+    hit = np.flatnonzero(k)
     counts = _outcome_counts(
         op,
-        np.asarray(k, dtype=np.intp),
+        hit,
+        k[hit],
         np.asarray(u_fade, dtype=float),
         np.asarray(u_dist, dtype=float),
         np.asarray(u_int_fade, dtype=float),
-        np.arange(len(k)),
+        np.arange(len(hit)),
     )
     return dict(zip(_COUNT_NAMES, counts.tolist()))
 
@@ -112,6 +117,183 @@ def test_outcome_counts_invariants_on_random_batch(cfg):
     assert out["collisions"] == int((k >= 1).sum())
     assert out["singles"] == int((k == 1).sum()) <= out["collisions"]
     assert out["overlap"] == 0  # capture and SIC are disjoint above 0 dB
+
+
+def _reference_outcome_counts(
+    op,
+    k,
+    u_fade,
+    u_dist,
+    u_int_fade,
+    index,
+):
+    """Score trials given their interferer counts and uniform variates.
+
+    ``k`` and ``u_fade`` (reference fading) hold one entry per trial;
+    ``u_dist`` and ``u_int_fade`` hold one entry per interferer, trial by
+    trial, so their length is ``k.sum()``.  ``index`` is
+    ``np.arange(len(k))``, passed in so that a caller scoring many chunks
+    builds it once.  Fading powers are -ln(1-u).
+    Powers are in units of the reference node's mean received power (see
+    ``op``), so an interferer whose squared distance follows the ring's
+    inverse CDF, D^2 = l_lo^2 + u (l_hi^2 - l_lo^2), arrives with power
+    h_i (d1^2 / D^2)^(eta/2).
+
+    The three variate arrays are overwritten with intermediate values.
+
+    * connected  -- reference fading at least the noise demand
+    * captured   -- reference fading at least gamma times the interference sum
+                    (vacuously true with no interferers)
+    * sic        -- exactly one interferer, it beats the reference by gamma,
+                    and the reference sits above the noise demand
+
+    The SIC path needs the interferer above the noise demand too, but no
+    clause checks it: for gamma >= 1 it follows from ``connected`` and
+    interference >= gamma * h, and for gamma < 1 a trial it would exclude
+    has gamma * interference < demand <= h, so it is captured anyway.
+    ``success_c1_sic`` is therefore the same either way; only the overlap
+    count, which no report shows, includes such trials below 0 dB.
+
+    Returns the counts [trials, connected, captured, success_c1,
+    success_c1_sic, collisions, singles, captured-and-sic overlap].
+    """
+    # The variates are transformed in place, so no float temporary per
+    # interferer is allocated; the arithmetic matches the out-of-place
+    # -log1p(-u) and (d1^2 / (lo^2 + u (hi^2 - lo^2)))^(eta/2) exactly.
+    n = len(k)
+    h = _reference_exp_fading(u_fade)
+    h_int = _reference_exp_fading(u_int_fade)
+    lo2 = op.l_lo * op.l_lo
+    rel_gain = u_dist
+    rel_gain *= op.l_hi * op.l_hi - lo2
+    rel_gain += lo2
+    with np.errstate(divide="ignore"):  # (d1 / D)^eta, infinite at D = 0
+        np.divide(op.d1 * op.d1, rel_gain, out=rel_gain)
+    rel_gain **= op.eta / 2
+    weights = np.multiply(h_int, rel_gain, out=h_int)
+    owner = np.repeat(index, k)
+    interference = np.bincount(owner, weights=weights, minlength=n)
+
+    connected = h >= op.demand
+    captured = (k == 0) | (h >= op.gamma * interference)
+    single = k == 1
+    # With k == 1 the interference sum is exactly the lone interferer's power.
+    sic = single & (interference >= op.gamma * h) & connected
+    success_c1 = connected & captured
+    success_sic = connected & (captured | sic)
+    return np.array(
+        [
+            n,
+            np.count_nonzero(connected),
+            np.count_nonzero(captured),
+            np.count_nonzero(success_c1),
+            np.count_nonzero(success_sic),
+            np.count_nonzero(k),
+            np.count_nonzero(single),
+            np.count_nonzero(sic & captured),
+        ],
+        dtype=np.int64,
+    )
+
+
+def _reference_exp_fading(u):
+    """Unit-mean exponential fading powers -ln(1-u), computed in place."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
+
+
+def _reference_chunk_counts(op, table, n, chunk_seed, scratch):
+    """Outcome counts over one chunk of n trials drawn from its own stream.
+
+    Draw order: interferer counts (Poisson by CDF inversion), reference
+    fadings, all interferer distances, all interferer fadings.
+    """
+    rng = np.random.Generator(np.random.PCG64(chunk_seed))
+    u = scratch.trial[:n]
+    k = _poisson_counts(table, rng.random(out=u), scratch.bucket[:n])
+    u_fade = rng.random(out=u)
+    u_dist, u_int_fade = scratch.interferers(int(k.sum()))
+    rng.random(out=u_dist)
+    rng.random(out=u_int_fade)
+    return _reference_outcome_counts(op, k, u_fade, u_dist, u_int_fade, scratch.index[:n])
+
+
+# The three functions above are the earlier chunk scorer, kept verbatim: it
+# inverts and scores every trial and keeps fadings as -ln(1-u).  The scorer
+# of collision trials alone must match it on all 8 counts.
+@pytest.mark.parametrize("gamma_db", [-6.0, -3.0, 0.0, 1.0, 6.0, 10.0])
+def test_chunk_counts_equal_the_full_layout_reference(gamma_db):
+    cfg = default_config(gamma_db=gamma_db)
+    ours, theirs = _Scratch(CHUNK_TRIALS), _Scratch(CHUNK_TRIALS)
+    case = 0
+    for d1 in (250.0, 750.0, 1250.0, 1750.0, 2250.0, 2750.0):  # one per ring
+        op = _operating_point(d1, cfg)
+        for alpha in (0.0, 1e-9, 0.25, 1.0, 6.5, MAX_ALPHA):
+            table = _poisson_table(alpha)
+            for n in (1, 7, CHUNK_TRIALS):
+                seed = derive_seed(int(gamma_db * 10) + 2700, case)
+                case += 1
+                expected = _reference_chunk_counts(op, table, n, seed, theirs)
+                got = _chunk_counts(op, table, n, seed, ours)
+                assert got.tolist() == expected.tolist(), (d1, alpha, n)
+
+
+def _forced_counts(op, alpha, u_count, u_fade, u_dist, u_int_fade):
+    """Counts of hand-built trials from both scorers, which must agree."""
+    table = _poisson_table(alpha)
+    u_count = np.asarray(u_count, dtype=float)
+    variates = [np.asarray(v, dtype=float) for v in (u_fade, u_dist, u_int_fade)]
+    k = np.searchsorted(table[0], u_count, side="left")
+    expected = _reference_outcome_counts(op, k, *(v.copy() for v in variates), np.arange(len(k)))
+    hit, k_hit = _collisions(table, u_count, np.empty(len(u_count), dtype=np.intp))
+    got = _outcome_counts(op, hit, k_hit, *variates, np.arange(len(hit)))
+    assert got.tolist() == expected.tolist()
+    return dict(zip(_COUNT_NAMES, got.tolist()))
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 0.25, 1.0, 6.5, MAX_ALPHA])
+def test_count_uniform_at_the_zero_interferer_edge(cfg, alpha):
+    # k = #{cdf < u} steps from 0 to 1 just above u = cdf[0] = e^-alpha: the
+    # uniform itself and the double below it draw no interferer.
+    cdf0 = _poisson_table(alpha)[0][0]
+    u_count = [cdf0, np.nextafter(cdf0, 0.0), np.nextafter(cdf0, 1.0)]
+    hit, k = _collisions(_poisson_table(alpha), np.array(u_count), np.empty(3, dtype=np.intp))
+    assert hit.tolist() == [2] and k.tolist() == [1]
+    # The lone interferer at the reference's radius with 20x its fading power.
+    op = _operating_point(100.0, cfg)
+    out = _forced_counts(op, alpha, u_count, [_u_exp(1.0)] * 3, [0.04], [_u_exp(20.0)])
+    assert out == dict(
+        trials=3, connected=3, captured=2, success_c1=2, success_c1_sic=3,
+        collisions=1, singles=1, overlap=0,
+    )
+
+
+@pytest.mark.parametrize("gamma_db", [-3.0, 1.0])
+def test_interferer_at_the_gateway_and_its_nan_weight(gamma_db):
+    # In ring 1 the squared distance l_lo^2 + u (l_hi^2 - l_lo^2) is 0 at
+    # u_dist = 0, so the interferer's gain is infinite; with fading u = 0 as
+    # well, its weight is 0 * inf = NaN, which no comparison passes.
+    op = _operating_point(250.0, default_config(gamma_db=gamma_db))
+    assert op.l_lo == 0.0
+    alpha = 1.0
+    one, two = 0.5, 0.9  # count uniforms that draw 1 and 2 interferers
+    assert np.searchsorted(_poisson_table(alpha)[0], [one, two]).tolist() == [1, 2]
+    with np.errstate(invalid="ignore"):
+        out = _forced_counts(
+            op, alpha,
+            [one, one, two, one, 0.0],
+            [_u_exp(2.0)] * 5,
+            [0.0, 0.0, 0.3, 0.0, 0.3],
+            [_u_exp(1.0), 0.0, _u_exp(1.0), 0.0, 0.0],
+        )
+    # Trial 0 is SIC decoded against an infinite interferer.  Trial 1's lone
+    # weight and trial 2's sum are NaN, so neither succeeds.  Trial 3's
+    # interferer has zero fading and trial 4 has none, so both are captured.
+    assert out == dict(
+        trials=5, connected=5, captured=2, success_c1=2, success_c1_sic=3,
+        collisions=4, singles=3, overlap=0,
+    )
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.25, 0.5, 1.0, 5.0, 6.5, 8.0, 10.0])
