@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
 
 from .geometry import ring_of
 from .params import NetworkConfig, _record, db_to_linear, default_sf_table
@@ -46,7 +45,7 @@ class CoverageBreakdown(_record("CoverageBreakdown", "h1 q1 q2 c1 c1_sic")):
                 raise ValueError(f"{name}={value} is not a probability")
 
 
-class _OperatingPoint(NamedTuple):
+class _OperatingPoint(_record("_OperatingPoint", "d1 l_lo l_hi gamma eta demand k1 k2")):
     """The link budget at one reference distance, shared by both models.
 
     Powers are in units of the reference node's mean received power: the
@@ -54,17 +53,8 @@ class _OperatingPoint(NamedTuple):
     with h_i (d1/D)^eta, and ``demand`` is the noise power times the ring's
     SNR threshold.  The node connects when h >= demand, so h1 = e^-demand.
     ``k1`` and ``k2`` are the alpha-independent ring kernels at thresholds
-    1/gamma (capture) and gamma (SIC).
+    1/gamma (capture) and gamma (SIC).  All fields are floats.
     """
-
-    d1: float
-    l_lo: float
-    l_hi: float
-    gamma: float
-    eta: float
-    demand: float
-    k1: float
-    k2: float
 
 
 @functools.lru_cache(maxsize=256)

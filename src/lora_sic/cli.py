@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import operator
 import sys
-from typing import IO, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .analytic import coverage, single_interferer_given_collision
 from .experiments import (
@@ -103,7 +104,7 @@ def _cell_format(value: object) -> str:
     return _FLOAT_CELL
 
 
-def _write_csv(out: IO[str], header: Sequence[str], rows: Iterable[tuple]) -> None:
+def _write_csv(out: io.TextIOBase, header: Sequence[str], rows: Iterable[tuple]) -> None:
     # Every table has a row, and every column holds one type in every row,
     # so one template built from the first row formats the whole table.
     out.write(",".join(header) + "\n")

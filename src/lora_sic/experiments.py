@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
 
-from .analytic import CoverageBreakdown, _operating_point, _q1, _q2, coverage
+from .analytic import _operating_point, _q1, _q2, coverage
 from .geometry import interferer_intensity, nodes_from_alpha, ring_of
-from .params import DEFAULT_SEED, MAX_ALPHA, NetworkConfig, SfParams, _record
-
-if TYPE_CHECKING:
-    from .mcsim import McReport  # loads numpy, which analytic sweeps never need
+from .params import DEFAULT_SEED, MAX_ALPHA, NetworkConfig, SfParams, _integer, _record
 
 SWEEP_VARIABLES = ("d1", "alpha", "gamma_db")
 
@@ -53,6 +49,8 @@ class SweepSpec(
                 f"a grid from {self.start} to {self.stop} by {self.step} would "
                 f"exceed {MAX_SWEEP_POINTS} points"
             )
+        for name in ("mc_trials", "seed"):
+            _integer(name, getattr(self, name))
         if self.mc_trials < 0:
             raise ValueError("mc_trials must be nonnegative")
         if self.alpha is not None and self.nbar is not None:
@@ -68,13 +66,11 @@ class SweepSpec(
         return [min(self.start + i * self.step, self.stop) for i in range(count)]
 
 
-class SweepRow(NamedTuple):
-    """One grid point: what :func:`coverage` returned there and, on sweeps
-    with ``mc_trials`` > 0, the Monte Carlo report (None otherwise)."""
-
-    x: float
-    point: CoverageBreakdown
-    mc: McReport | None
+class SweepRow(_record("SweepRow", "x point mc")):
+    """One grid point: the swept value ``x`` (a float), the
+    :class:`~lora_sic.analytic.CoverageBreakdown` ``point`` that
+    :func:`coverage` returned there and, on sweeps with ``mc_trials`` > 0,
+    the :class:`~lora_sic.mcsim.McReport` ``mc`` (None otherwise)."""
 
 
 def resolve_intensity(
@@ -131,7 +127,7 @@ def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
                 point_cfg,
                 alpha_i,
                 spec.mc_trials,
-                seed=mcsim.derive_seed(spec.seed, index),
+                seed=mcsim.derive_seed(int(spec.seed), index),  # a numpy int overflows there
             )
         rows.append(SweepRow(x, point, report))
     return rows

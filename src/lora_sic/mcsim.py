@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _operating_point, _OperatingPoint
-from .params import DEFAULT_SEED, MAX_ALPHA, NetworkConfig
+from .params import DEFAULT_SEED, MAX_ALPHA, NetworkConfig, _integer, _record
 
 #: Trials per chunk; fixed so a seed always yields the same chunk streams.
 CHUNK_TRIALS = 1 << 14
@@ -49,15 +49,13 @@ def derive_seed(seed: int, index: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """Proportion estimate with a normal-approximation 95% interval."""
-
-    mean: float
-    trials: int
-    ci95_halfwidth: float
+class McEstimate(_record("McEstimate", "mean trials ci95_halfwidth")):
+    """Proportion ``mean`` over ``trials`` trials, with the half-width of its
+    normal-approximation 95% interval."""
 
 
+# A dataclass, not a record: cli._cmd_mc and perfbench/worker.py read its five
+# estimates through vars(report).
 @dataclass(frozen=True)
 class McReport:
     """Per-outcome estimates of one simulation run."""
@@ -336,8 +334,10 @@ def estimate(
 
     The single-interferer estimate conditions on collision trials, so its
     ``trials`` field is the collision count (NaN mean if none occurred).
-    ``n_trials`` must lie in [1, :data:`MAX_TRIALS`].
+    ``n_trials`` must lie in [1, :data:`MAX_TRIALS`]; it and ``seed`` are
+    integers, and a bool or a float is refused.
     """
+    n_trials, seed = _integer("n_trials", n_trials), _integer("seed", seed)
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     if n_trials > MAX_TRIALS:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 SPEED_OF_LIGHT_M_S = 2.998e8
@@ -126,6 +127,16 @@ class NetworkConfig(
             ),
             "gamma": _linear_in_range(self.gamma_db, "gamma_db"),
         })
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int: Python and numpy integers pass, a bool or a float is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _linear_in_range(value_db: float, what: str) -> float:

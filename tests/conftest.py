@@ -5,5 +5,5 @@ from lora_sic.analytic import default_config
 
 @pytest.fixture(scope="session")
 def cfg():
-    """The suburban reference scenario (all dataclasses are frozen)."""
+    """The suburban reference scenario (an immutable record, shared by every test)."""
     return default_config()

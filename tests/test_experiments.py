@@ -231,6 +231,20 @@ def test_sweep_spec_validation():
         SweepSpec(variable="d1", start=0.0, stop=1.0, step=0.1, alpha=1.0, nbar=10.0)
 
 
+@pytest.mark.parametrize("field", ["mc_trials", "seed"])
+@pytest.mark.parametrize("value", [2e4, 1.0, True, False])
+def test_sweep_spec_refuses_non_integer_counts_and_seeds(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        SweepSpec("alpha", 0.5, 0.5, 1.0, **{field: value})
+
+
+def test_sweep_takes_numpy_integer_counts_and_seeds(cfg):
+    import numpy as np
+    spec = SweepSpec("alpha", 0.5, 1.0, 0.5, d1=3000.0, mc_trials=1000, seed=5)
+    numpy_spec = spec._replace(mc_trials=np.int64(1000), seed=np.uint64(5))
+    assert sweep(numpy_spec, cfg) == sweep(spec, cfg)
+
+
 @pytest.mark.parametrize("field", ["start", "stop", "step", "d1", "alpha", "nbar"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_sweep_spec_rejects_non_finite_fields(field, value):

@@ -1,9 +1,11 @@
 """The analytic path imports neither numpy nor scipy; only Monte Carlo loads numpy.
-Nor does it import ``dataclasses`` or ``inspect``, which cost more to import
-than the model takes to answer.
+Nor does it import ``dataclasses``, ``inspect`` or ``typing``, which cost more
+to import than the model takes to answer.
 
 Each check runs in a fresh interpreter, because this test session has long
-since imported both.
+since imported them all.  The ``typing`` check runs it with ``-S``: a site
+hook (a ``.pth`` file of an installed package) may import ``typing`` before
+any user code runs.
 """
 
 import os
@@ -39,10 +41,10 @@ _ANALYTIC_COMMANDS = [
 ]
 
 
-def _fresh(*argv: str, watch: str = "numpy,scipy") -> list[str]:
+def _fresh(*argv: str, watch: str = "numpy,scipy", flags: tuple[str, ...] = ()) -> list[str]:
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, watch, *argv],
+        [sys.executable, *flags, "-c", _PROBE, watch, *argv],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -66,6 +68,14 @@ def test_analytic_commands_load_neither_numpy_nor_scipy(argv):
 )
 def test_import_and_analytic_commands_load_neither_dataclasses_nor_inspect(argv):
     assert _fresh(*argv, watch="dataclasses,inspect") == ["0" if argv else "None"]
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["table1"], *_ANALYTIC_COMMANDS], ids=lambda argv: " ".join(argv[:2]) or "import"
+)
+def test_without_site_import_and_analytic_commands_load_no_typing(argv):
+    watch = "dataclasses,inspect,typing"
+    assert _fresh(*argv, watch=watch, flags=("-S",)) == ["0" if argv else "None"]
 
 
 def test_monte_carlo_loads_numpy():

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -401,6 +402,20 @@ def test_estimate_rejects_bad_arguments(cfg):
         estimate(3000.0, cfg, math.nan, 100)
     with pytest.raises(ValueError, match="^distance must be a number"):
         estimate(math.nan, cfg, 1.0, 100)
+    # Floats and bools are refused by name before range() or numpy sees them.
+    for name, bad in [
+        *(("n_trials", bad) for bad in (3000.0, 2e4, True, np.float64(100.0))),
+        *(("seed", bad) for bad in (1.5, 42.0, True, False)),
+    ]:
+        message = re.escape(f"{name} must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate(3000.0, cfg, 1.0, **{"n_trials": 100, name: bad})
+
+
+def test_estimate_takes_numpy_integers_as_their_values(cfg):
+    report = estimate(3000.0, cfg, 1.0, 20000, seed=7)
+    assert estimate(3000.0, cfg, 1.0, np.int64(20000), seed=7) == report
+    assert estimate(3000.0, cfg, 1.0, 20000, seed=np.uint64(7)) == report
 
 
 def test_plan_searches_no_further_than_the_simulator_reaches(cfg):

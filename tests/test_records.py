@@ -3,7 +3,8 @@
 ``namedtuple``'s own ``_make`` (and so ``_replace``), ``copy`` and ``pickle``
 build through ``tuple.__new__`` and would skip validation and the derived
 attributes; these tests pin down that the records route them through the
-constructor instead.
+constructor instead.  The records without a check (``SweepRow``,
+``McEstimate``, ``_OperatingPoint``) take the same routes.
 """
 
 import copy
@@ -11,7 +12,9 @@ import pickle
 
 import pytest
 
-from lora_sic.experiments import SweepSpec
+from lora_sic.analytic import _operating_point, coverage
+from lora_sic.experiments import SweepRow, SweepSpec
+from lora_sic.mcsim import estimate
 from lora_sic.params import NetworkConfig
 
 DERIVED = ("boundaries", "wavelength_m", "tx_power_mw", "noise_power_mw", "gamma")
@@ -22,6 +25,16 @@ CASES = [
     (SweepSpec("gamma_db", 0.0, 6.0, 0.5, alpha=0.5), {"step": 0.0}, "step must be positive, got 0.0"),
 ]
 IDS = ["NetworkConfig", "SweepSpec"]
+
+# Records with no check of their own, beside the two checked ones above.
+_REPORT = estimate(3000.0, NetworkConfig(), 1.0, 1000, seed=3)
+RECORDS = {
+    **{name: case[0] for name, case in zip(IDS, CASES)},
+    "SweepRow": SweepRow(3000.0, coverage(3000.0, NetworkConfig(), 1.0), None),
+    "SweepRow-mc": SweepRow(1.0, coverage(3000.0, NetworkConfig(), 1.0), _REPORT),
+    "McEstimate": _REPORT.success_c1,
+    "_OperatingPoint": _operating_point(3000.0, NetworkConfig()),
+}
 
 # Every way to build a record from another one's values.
 ROUTES = {
@@ -48,13 +61,22 @@ def test_every_route_validates(record, bad, message, route):
 
 
 @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
-@pytest.mark.parametrize("record, bad, message", CASES, ids=IDS)
-def test_every_route_rebuilds_an_equal_record(record, bad, message, route):
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS.keys())
+def test_every_route_rebuilds_an_equal_record(record, route):
     rebuilt = route(_unchecked(record))
     assert type(rebuilt) is type(record)
     assert rebuilt == record
     assert hash(rebuilt) == hash(record)
     assert vars(rebuilt) == vars(record)  # the derived attributes, recomputed
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS.keys())
+def test_every_route_builds_through_the_constructor(record, route, monkeypatch):
+    built = []
+    monkeypatch.setattr(type(record), "_check", lambda self: built.append(tuple(self)))
+    route(record)
+    assert built == [tuple(record)]
 
 
 @pytest.mark.parametrize("record, bad, message", CASES, ids=IDS)
@@ -81,9 +103,10 @@ def test_records_compare_as_plain_tuples():
 
 @pytest.mark.parametrize(
     "record, name",
-    [(CASES[0][0], name) for name in (*NetworkConfig._fields, *DERIVED)]
-    + [(CASES[1][0], name) for name in SweepSpec._fields],
-    ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+    [(RECORDS["NetworkConfig"], name) for name in DERIVED]
+    + [(record, name) for record in RECORDS.values() for name in record._fields],
+    ids=[f"NetworkConfig-{name}" for name in DERIVED]
+    + [f"{key}-{name}" for key, record in RECORDS.items() for name in record._fields],
 )
 def test_fields_and_derived_attributes_are_read_only(record, name):
     before = getattr(record, name)
@@ -92,3 +115,10 @@ def test_fields_and_derived_attributes_are_read_only(record, name):
     with pytest.raises(AttributeError):
         delattr(record, name)
     assert getattr(record, name) == before
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS.keys())
+def test_records_take_no_new_attribute(record):
+    with pytest.raises(AttributeError):
+        record.extra = 1.0
+    assert not hasattr(record, "extra")
