@@ -10,10 +10,9 @@ import operator
 import sys
 from collections.abc import Iterable, Sequence
 
-from .analytic import coverage, single_interferer_given_collision
+from .analytic import CoverageBreakdown, coverage, single_interferer_given_collision
 from .experiments import (
     SWEEP_VARIABLES,
-    CapacityRow,
     SweepSpec,
     _d1_or_edge,
     capacity_table,
@@ -115,33 +114,24 @@ def _write_csv(out: io.TextIOBase, header: Sequence[str], rows: Iterable[tuple])
     out.writelines(template % row for row in rows)
 
 
-# Each sweep CSV column with the SweepRow attribute path its cells are read from.
-_SWEEP_COLUMNS = {
-    "x": "x",
-    "h1": "point.h1",
-    "q1": "point.q1",
-    "q2": "point.q2",
-    "c1": "point.c1",
-    "c1_sic": "point.c1_sic",
-}
-_MC_COLUMNS = {
-    "mc_c1": "mc.success_c1.mean",
-    "mc_c1_ci95": "mc.success_c1.ci95_halfwidth",
-    "mc_c1_sic": "mc.success_c1_sic.mean",
-    "mc_c1_sic_ci95": "mc.success_c1_sic.ci95_halfwidth",
-}
-
 _NODE_COLUMNS = [f"n_sf{sf}" for sf in range(7, 13)] + ["total"]
 
 
 def _sweep_table(spec: SweepSpec, cfg: NetworkConfig) -> _Table:
-    columns = {**_SWEEP_COLUMNS, **(_MC_COLUMNS if spec.mc_trials > 0 else {})}
-    return list(columns), map(operator.attrgetter(*columns.values()), sweep(spec, cfg)), 0
+    points = sweep(spec, cfg)  # not lazily: an error must come before --output is opened
+    header = ["x", *CoverageBreakdown._fields]
+    if spec.mc_trials == 0:
+        return header, ((r.x, *r.point) for r in points), 0
+    rows = (
+        (r.x, *r.point, r.mc.success_c1.mean, r.mc.success_c1.ci95_halfwidth,
+         r.mc.success_c1_sic.mean, r.mc.success_c1_sic.ci95_halfwidth)
+        for r in points
+    )
+    return [*header, "mc_c1", "mc_c1_ci95", "mc_c1_sic", "mc_c1_sic_ci95"], rows, 0
 
 
 def _cmd_table1(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
-    header = list(SfParams._fields)
-    return header, map(operator.attrgetter(*header), default_sf_table()), 0
+    return SfParams._fields, default_sf_table(), 0
 
 
 def _cmd_coverage(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
@@ -183,60 +173,55 @@ def validation_checks(
     """Analytic-vs-MC checks at loads 0.25, 0.5 and 1 in three places: ring 1
     at 4/5 of its width, ring 4 at 2/5, and the cell edge.
 
-    Returns (check, d1, alpha, analytic, mc, limit, ok) tuples.  Marginals
-    must match within 4 CI half-widths (they are exact under the model); the
-    joint SIC success within max(4 CI, 0.02) because the closed form carries
-    independence approximations; the plain joint success may exceed but not
-    undershoot the analytic product by more than 4 CI half-widths.
+    Returns (check, d1, alpha, analytic, mc, limit, ok) tuples, where limit
+    is max(4 CI half-widths, slack).  Marginals must match within 4 CI (they
+    are exact under the model); the joint SIC success within max(4 CI, 0.02)
+    because the closed form carries independence approximations; the plain
+    joint success, a one-sided check, may exceed but not undershoot the
+    analytic product by more than 4 CI.
     """
     from . import mcsim
 
     checks = []
-    width = cfg.radius_m / 6
+    width = cfg.boundaries[1]
     for point_index, d1 in enumerate((4 * width / 5, 17 * width / 5, cfg.radius_m)):
         for alpha in (0.25, 0.5, 1.0):
             report = mcsim.estimate(
                 d1, cfg, alpha, trials, seed=mcsim.derive_seed(seed, point_index * 101 + int(alpha * 100))
             )
             breakdown = coverage(d1, cfg, alpha)
-            for name, analytic_value, est, slack in (
-                ("connected_marginal", breakdown.h1, report.connected, 0.0),
-                ("captured_marginal", breakdown.q1, report.captured, 0.0),
-                ("joint_sic", breakdown.c1_sic, report.success_c1_sic, 0.02),
+            for name, analytic_value, est, slack, one_sided in (
+                ("connected_marginal", breakdown.h1, report.connected, 0.0, False),
+                ("captured_marginal", breakdown.q1, report.captured, 0.0, False),
+                ("joint_sic", breakdown.c1_sic, report.success_c1_sic, 0.02, False),
                 (
                     "singles_given_collision",
                     single_interferer_given_collision(alpha),
                     report.single_interferer_given_collision,
                     0.0,
+                    False,
                 ),
+                ("joint_c1_lower_bound", breakdown.c1, report.success_c1, 0.0, True),
             ):
                 limit = max(4.0 * est.ci95_halfwidth, slack)
-                dev = abs(est.mean - analytic_value)
-                checks.append((name, d1, alpha, analytic_value, est.mean, limit, dev <= limit))
-            est = report.success_c1
-            limit = 4.0 * est.ci95_halfwidth
-            shortfall = breakdown.c1 - est.mean
-            checks.append(
-                ("joint_c1_lower_bound", d1, alpha, breakdown.c1, est.mean, limit, shortfall <= limit)
-            )
+                shortfall = analytic_value - est.mean
+                ok = (shortfall if one_sided else abs(shortfall)) <= limit
+                checks.append((name, d1, alpha, analytic_value, est.mean, limit, ok))
     return checks
 
 
 def _cmd_validate(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
-    checks = validation_checks(cfg, args.trials, args.seed)
-    header = ["check", "d1", "alpha", "analytic", "mc", "limit", "status"]
-    rows = [
-        (name, d1, alpha, ref, got, limit, "pass" if ok else "FAIL")
-        for name, d1, alpha, ref, got, limit, ok in checks
-    ]
-    worst = max(abs(got - ref) for _, _, _, ref, got, _, _ in checks)
-    failed = [c for c in checks if not c[6]]
+    rows, passed, worst = [], 0, 0.0
+    for name, d1, alpha, ref, got, limit, ok in validation_checks(cfg, args.trials, args.seed):
+        rows.append((name, d1, alpha, ref, got, limit, "pass" if ok else "FAIL"))
+        passed += ok
+        worst = max(worst, abs(got - ref))
     print(
-        f"validate: {len(checks) - len(failed)}/{len(checks)} checks passed, "
-        f"max abs deviation {worst:.6f}",
+        f"validate: {passed}/{len(rows)} checks passed, max abs deviation {worst:.6f}",
         file=sys.stderr,
     )
-    return header, rows, 0 if not failed else 2
+    header = ["check", "d1", "alpha", "analytic", "mc", "limit", "status"]
+    return header, rows, 0 if passed == len(rows) else 2
 
 
 def _cmd_capacity(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
@@ -248,30 +233,28 @@ def _cmd_capacity(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
         raise UsageError(f"--alphas entries must be finite, got {args.alphas!r}")
     if not alphas:
         raise UsageError("--alphas must name at least one intensity")
-    rows = [(r.alpha, *r.nodes, r.total) for r in _printed_capacity(alphas)]
-    return ["alpha", *_NODE_COLUMNS], rows, 0
+    return ["alpha", *_NODE_COLUMNS], _node_rows(alphas), 0
 
 
-def _printed_capacity(alphas: list[float]) -> list[CapacityRow]:
-    """Capacity rows counted from each alpha as the CSV prints it, so that a
-    reader who rounds the printed alpha/(2 duty) half up gets the printed counts."""
+def _node_rows(alphas: list[float]) -> list[tuple]:
+    """``(alpha, n_sf7, ..., n_sf12, total)`` rows counted from each alpha as
+    the CSV prints it, so that a reader who rounds the printed alpha/(2 duty)
+    half up gets the printed counts."""
     printed = []
     for alpha in alphas:
         text = _FLOAT_CELL % alpha
         if math.isinf(float(text)):
             raise ValueError(f"alpha={alpha!r} prints as {text}, beyond the largest float")
         printed.append(float(text))
-    return capacity_table(printed, default_sf_table())
+    return [(r.alpha, *r.nodes, r.total) for r in capacity_table(printed, default_sf_table())]
 
 
 def _cmd_plan(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
     alpha_star = find_alpha_for_target(args.target, _d1_or_edge(args.d1, cfg), cfg, with_sic=args.sic)
-    if alpha_star > 0:
-        nodes = _printed_capacity([alpha_star])[0]
-    else:
-        nodes = CapacityRow(alpha=0.0, nodes=(0,) * 6, total=0)
+    # capacity_table refuses alpha = 0, the answer when only a silent network meets the target.
+    nodes = _node_rows([alpha_star])[0] if alpha_star > 0 else (0.0,) + (0,) * 7
     header = ["target", "with_sic", "alpha_star", *_NODE_COLUMNS]
-    return header, [(args.target, args.sic, alpha_star, *nodes.nodes, nodes.total)], 0
+    return header, [(args.target, args.sic, alpha_star, *nodes[1:])], 0
 
 
 @functools.cache
@@ -295,7 +278,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     d1_help = "reference distance in m (default: the cell edge, radius_m)"
 
-    sub.add_parser("table1", help="print the per-SF uplink characteristics")
+    p = sub.add_parser("table1", help="print the per-SF uplink characteristics")
+    p.set_defaults(run=_cmd_table1)
 
     def _pinning(sub_parser: argparse.ArgumentParser) -> None:
         group = sub_parser.add_mutually_exclusive_group()
@@ -303,10 +287,12 @@ def _build_parser() -> _Parser:
         group.add_argument("--nbar", type=_finite_float)
 
     p = sub.add_parser("coverage", help="probability breakdown at one distance")
+    p.set_defaults(run=_cmd_coverage)
     p.add_argument("--d1", type=_finite_float, required=True)
     _pinning(p)
 
     p = sub.add_parser("sweep", help="grid sweep of the breakdown")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--var", choices=SWEEP_VARIABLES, required=True)
     p.add_argument("--start", type=_finite_float, required=True)
     p.add_argument("--stop", type=_finite_float, required=True)
@@ -317,35 +303,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("mc", help="Monte Carlo estimates at one operating point")
+    p.set_defaults(run=_cmd_mc)
     p.add_argument("--d1", type=_finite_float, required=True)
     _pinning(p)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("validate", help="analytic-vs-MC agreement report")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("capacity", help="node counts per SF at given intensities")
+    p.set_defaults(run=_cmd_capacity)
     p.add_argument("--alphas", required=True, help="comma-separated intensities")
 
     p = sub.add_parser("plan", help="largest intensity meeting a coverage target")
+    p.set_defaults(run=_cmd_plan)
     p.add_argument("--target", type=_finite_float, required=True)
     p.add_argument("--sic", action="store_true")
     p.add_argument("--d1", type=_finite_float, help=d1_help)
 
     return parser
-
-
-_COMMANDS = {
-    "table1": _cmd_table1,
-    "coverage": _cmd_coverage,
-    "sweep": _cmd_sweep,
-    "mc": _cmd_mc,
-    "validate": _cmd_validate,
-    "capacity": _cmd_capacity,
-    "plan": _cmd_plan,
-}
 
 
 def _load_config(args: argparse.Namespace) -> NetworkConfig:
@@ -367,7 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(args)
-        header, rows, status = _COMMANDS[args.command](cfg, args)
+        header, rows, status = args.run(cfg, args)
         # Opened only once the command has its table, so a refused command
         # leaves an existing file as it was.
         if args.output:

@@ -127,7 +127,7 @@ def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
                 point_cfg,
                 alpha_i,
                 spec.mc_trials,
-                seed=mcsim.derive_seed(int(spec.seed), index),  # a numpy int overflows there
+                seed=mcsim.derive_seed(spec.seed, index),
             )
         rows.append(SweepRow(x, point, report))
     return rows

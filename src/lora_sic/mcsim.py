@@ -39,8 +39,11 @@ _MASK64 = (1 << 64) - 1
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Mix a 64-bit stream index into a master seed (SplitMix64 finalizer)."""
-    x = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    """Mix a 64-bit stream index into a master seed (SplitMix64 finalizer).
+
+    Both are integers, Python or numpy; a bool or a float is refused.
+    """
+    x = (_integer("seed", seed) + (_integer("index", index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27

@@ -1,6 +1,7 @@
-"""The README's configuration table, headline numbers and experiment commands
-match the program."""
+"""The README's configuration table, command table, CSV schema, headline
+numbers and experiment commands match the program."""
 
+import argparse
 import csv
 import io
 import re
@@ -9,16 +10,19 @@ from pathlib import Path
 import pytest
 
 import byte_corpus
+from lora_sic.cli import _build_parser, parse_config
 from lora_sic.cli import main as cli_main
-from lora_sic.cli import parse_config
 from lora_sic.params import NetworkConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _readme_section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _config_table() -> list[tuple[str, float]]:
-    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
-    section = section.split("\n## ", 1)[0]
+    section = _readme_section("Configuration")
     return [
         (key, float(default))
         for key, default in re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section, re.MULTILINE)
@@ -27,6 +31,26 @@ def _config_table() -> list[tuple[str, float]]:
 
 def test_readme_config_table_lists_the_fields_and_defaults():
     assert _config_table() == list(NetworkConfig._field_defaults.items())
+
+
+def test_readme_command_table_lists_the_parsers_subcommands():
+    (commands,) = [
+        action.choices for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    listed = re.findall(r"^\| `([^\s`]+)", _readme_section("Command line"), re.MULTILINE)
+    assert listed == list(commands)
+
+
+def test_readme_csv_schema_is_the_printed_headers(capsys):
+    (schema,) = re.findall(r"^```\n(.*)\n```$", _readme_section("CSV schema"), re.MULTILINE)
+    headers = []
+    for argv in (["coverage", "--d1", "3000"],
+                 ["sweep", "--var", "alpha", "--start", "1", "--stop", "1", "--step", "1",
+                  "--mc-trials", "1"]):
+        assert cli_main(argv) == 0
+        headers.append(capsys.readouterr().out.split("\n", 1)[0])
+    assert headers == [re.sub(r"\[.*\]", "", schema), schema.replace("[", "").replace("]", "")]
 
 
 def test_readme_library_example_holds():

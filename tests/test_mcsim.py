@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -437,6 +438,24 @@ def test_derive_seed_spreads_indices():
     seeds = {derive_seed(42, i) for i in range(1000)}
     assert len(seeds) == 1000
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+def test_derive_seed_takes_numpy_integers_as_their_values():
+    want = derive_seed(42, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, index in ((np.int64(42), 3), (np.uint64(42), 3), (42, np.int64(3)), (42, np.uint8(3))):
+            got = derive_seed(seed, index)
+            assert type(got) is int and got == want, (seed, index)
+
+
+@pytest.mark.parametrize("name, seed, index", [
+    ("seed", 42.0, 3), ("seed", True, 3), ("index", 42, 3.0), ("index", 42, False),
+])
+def test_derive_seed_refuses_bools_and_floats(name, seed, index):
+    bad = seed if name == "seed" else index
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+        derive_seed(seed, index)
 
 
 def _serial_counts(d1, cfg, alpha, n, seed):
