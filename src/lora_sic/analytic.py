@@ -19,10 +19,9 @@ from .params import NetworkConfig, _record, db_to_linear, default_sf_table
 from .specfun import hyp2f1_1b
 
 
-def default_config(**values: float) -> NetworkConfig:
-    """The suburban reference scenario (R=3000 m, six 500 m rings, 1% duty
-    cycle, 1 dB capture threshold), with ``values`` overriding its fields."""
-    return NetworkConfig(**values)
+#: The suburban reference scenario (R=3000 m, six 500 m rings, 1% duty cycle,
+#: 1 dB capture threshold); keyword arguments override its fields.
+default_config = NetworkConfig
 
 
 class CoverageBreakdown(_record("CoverageBreakdown", "h1 q1 q2 c1 c1_sic")):

@@ -6,7 +6,6 @@ import argparse
 import functools
 import io
 import math
-import operator
 import sys
 from collections.abc import Iterable, Sequence
 
@@ -114,10 +113,21 @@ def _write_csv(out: io.TextIOBase, header: Sequence[str], rows: Iterable[tuple])
     out.writelines(template % row for row in rows)
 
 
-_NODE_COLUMNS = [f"n_sf{sf}" for sf in range(7, 13)] + ["total"]
+_NODE_COLUMNS = [f"n_sf{row.sf}" for row in default_sf_table()] + ["total"]
 
 
-def _sweep_table(spec: SweepSpec, cfg: NetworkConfig) -> _Table:
+def _cmd_table1(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
+    return SfParams._fields, default_sf_table(), 0
+
+
+def _cmd_coverage(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
+    d1 = args.d1 + 0.0  # -0 becomes 0, as on a sweep's grid, so a refusal names 0.0
+    point = coverage(d1, cfg, resolve_intensity(cfg, d1, args.alpha, args.nbar))
+    return ["x", *CoverageBreakdown._fields], [(d1, *point)], 0
+
+
+def _cmd_sweep(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
+    spec = SweepSpec(**{name: getattr(args, name) for name in SweepSpec._fields})
     points = sweep(spec, cfg)  # not lazily: an error must come before --output is opened
     header = ["x", *CoverageBreakdown._fields]
     if spec.mc_trials == 0:
@@ -130,41 +140,13 @@ def _sweep_table(spec: SweepSpec, cfg: NetworkConfig) -> _Table:
     return [*header, "mc_c1", "mc_c1_ci95", "mc_c1_sic", "mc_c1_sic_ci95"], rows, 0
 
 
-def _cmd_table1(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
-    return SfParams._fields, default_sf_table(), 0
-
-
-def _cmd_coverage(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
-    spec = SweepSpec(
-        variable="d1", start=args.d1, stop=args.d1, step=1.0,
-        d1=args.d1, alpha=args.alpha, nbar=args.nbar,
-    )
-    return _sweep_table(spec, cfg)
-
-
-def _cmd_sweep(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
-    spec = SweepSpec(
-        variable=args.var,
-        start=args.start,
-        stop=args.stop,
-        step=args.step,
-        d1=args.d1,
-        alpha=args.alpha,
-        nbar=args.nbar,
-        mc_trials=args.mc_trials,
-        seed=args.seed,
-    )
-    return _sweep_table(spec, cfg)
-
-
 def _cmd_mc(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
     from . import mcsim
 
     alpha = resolve_intensity(cfg, args.d1, args.alpha, args.nbar)
     report = mcsim.estimate(args.d1, cfg, alpha, args.trials, seed=args.seed)
-    header = ["outcome", "mean", "ci95_halfwidth", "trials"]
-    cells = operator.attrgetter(*header[1:])
-    return header, [(name, *cells(est)) for name, est in vars(report).items()], 0
+    rows = [(name, *est) for name, est in vars(report).items()]
+    return ["outcome", *mcsim.McEstimate._fields], rows, 0
 
 
 def validation_checks(
@@ -293,7 +275,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="grid sweep of the breakdown")
     p.set_defaults(run=_cmd_sweep)
-    p.add_argument("--var", choices=SWEEP_VARIABLES, required=True)
+    p.add_argument("--var", dest="variable", choices=SWEEP_VARIABLES, required=True)
     p.add_argument("--start", type=_finite_float, required=True)
     p.add_argument("--stop", type=_finite_float, required=True)
     p.add_argument("--step", type=_finite_float, required=True)

@@ -41,9 +41,14 @@ _MASK64 = (1 << 64) - 1
 def derive_seed(seed: int, index: int) -> int:
     """Mix a 64-bit stream index into a master seed (SplitMix64 finalizer).
 
-    Both are integers, Python or numpy; a bool or a float is refused.
+    Both are integers in [0, 2^64), Python or numpy; any other value,
+    a bool or a float included, is refused, so no two seeds share a stream.
     """
-    x = (_integer("seed", seed) + (_integer("index", index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    seed, index = _integer("seed", seed), _integer("index", index)
+    for name, value in (("seed", seed), ("index", index)):
+        if not 0 <= value <= _MASK64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    x = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27
@@ -52,9 +57,9 @@ def derive_seed(seed: int, index: int) -> int:
     return x
 
 
-class McEstimate(_record("McEstimate", "mean trials ci95_halfwidth")):
-    """Proportion ``mean`` over ``trials`` trials, with the half-width of its
-    normal-approximation 95% interval."""
+class McEstimate(_record("McEstimate", "mean ci95_halfwidth trials")):
+    """Proportion ``mean``, with the half-width of its normal-approximation 95%
+    interval, over ``trials`` trials; ``mc`` prints the fields in this order."""
 
 
 # A dataclass, not a record: cli._cmd_mc and perfbench/worker.py read its five
@@ -337,8 +342,8 @@ def estimate(
 
     The single-interferer estimate conditions on collision trials, so its
     ``trials`` field is the collision count (NaN mean if none occurred).
-    ``n_trials`` must lie in [1, :data:`MAX_TRIALS`]; it and ``seed`` are
-    integers, and a bool or a float is refused.
+    ``n_trials`` must lie in [1, :data:`MAX_TRIALS`] and ``seed`` in
+    [0, 2^64); both are integers, and a bool or a float is refused.
     """
     n_trials, seed = _integer("n_trials", n_trials), _integer("seed", seed)
     if n_trials < 1:

@@ -43,14 +43,17 @@ def test_readme_command_table_lists_the_parsers_subcommands():
 
 
 def test_readme_csv_schema_is_the_printed_headers(capsys):
-    (schema,) = re.findall(r"^```\n(.*)\n```$", _readme_section("CSV schema"), re.MULTILINE)
+    schema, mc_schema = re.findall(r"^```\n(.*)\n```$", _readme_section("CSV schema"), re.MULTILINE)
     headers = []
     for argv in (["coverage", "--d1", "3000"],
                  ["sweep", "--var", "alpha", "--start", "1", "--stop", "1", "--step", "1",
-                  "--mc-trials", "1"]):
+                  "--mc-trials", "1"],
+                 ["mc", "--d1", "3000", "--trials", "1"]):
         assert cli_main(argv) == 0
         headers.append(capsys.readouterr().out.split("\n", 1)[0])
-    assert headers == [re.sub(r"\[.*\]", "", schema), schema.replace("[", "").replace("]", "")]
+    assert headers == [
+        re.sub(r"\[.*\]", "", schema), schema.replace("[", "").replace("]", ""), mc_schema
+    ]
 
 
 def test_readme_library_example_holds():

@@ -34,6 +34,7 @@ print(code, *sorted(name for name in watched if name in sys.modules))
 """
 
 _ANALYTIC_COMMANDS = [
+    ["table1"],
     ["coverage", "--d1", "3000"],
     ["plan", "--target", "0.8", "--sic"],
     ["capacity", "--alphas", "0.2,1"],
@@ -71,7 +72,7 @@ def test_import_and_analytic_commands_load_neither_dataclasses_nor_inspect(argv)
 
 
 @pytest.mark.parametrize(
-    "argv", [[], ["table1"], *_ANALYTIC_COMMANDS], ids=lambda argv: " ".join(argv[:2]) or "import"
+    "argv", [[], *_ANALYTIC_COMMANDS], ids=lambda argv: " ".join(argv[:2]) or "import"
 )
 def test_without_site_import_and_analytic_commands_load_no_typing(argv):
     watch = "dataclasses,inspect,typing"

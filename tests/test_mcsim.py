@@ -9,6 +9,7 @@ import pytest
 
 from lora_sic import experiments, mcsim
 from lora_sic.analytic import _operating_point, coverage, default_config
+from lora_sic.cli import main as cli_main
 from lora_sic.experiments import InfeasibleTargetError, find_alpha_for_target
 from lora_sic.mcsim import (
     _BUCKETS,
@@ -456,6 +457,36 @@ def test_derive_seed_refuses_bools_and_floats(name, seed, index):
     bad = seed if name == "seed" else index
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
         derive_seed(seed, index)
+
+
+@pytest.mark.parametrize("name, seed, index", [
+    ("seed", -1, 0), ("seed", 2**64, 0), ("index", 0, -1), ("index", 0, 2**64),
+])
+def test_derive_seed_refuses_values_outside_64_bits(name, seed, index):
+    # Masked to 64 bits, seed 2^64 drew seed 0's streams and -1 those of 2^64 - 1.
+    bad = seed if name == "seed" else index
+    with pytest.raises(ValueError, match=re.escape(f"{name} must lie in [0, 2^64), got {bad}")):
+        derive_seed(seed, index)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_estimate_and_mc_refuse_seeds_outside_64_bits(cfg, capsys, seed):
+    message = f"seed must lie in [0, 2^64), got {seed}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        estimate(2000.0, cfg, 1.0, 1000, seed=seed)
+    argv = ["mc", "--d1", "2000", "--alpha", "1", "--trials", "1000", "--seed", str(seed)]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_the_largest_64_bit_seed_is_taken(cfg, capsys):
+    top = 2**64 - 1
+    assert 0 <= derive_seed(top, top) < 2**64
+    report = estimate(2000.0, cfg, 1.0, 1000, seed=top)
+    assert report != estimate(2000.0, cfg, 1.0, 1000, seed=0)
+    argv = ["mc", "--d1", "2000", "--alpha", "1", "--trials", "1000", "--seed", str(top)]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out.count("\n") == 6
 
 
 def _serial_counts(d1, cfg, alpha, n, seed):
