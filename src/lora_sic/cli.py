@@ -121,9 +121,8 @@ def _cmd_table1(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
 
 
 def _cmd_coverage(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
-    d1 = args.d1 + 0.0  # -0 becomes 0, as on a sweep's grid, so a refusal names 0.0
-    point = coverage(d1, cfg, resolve_intensity(cfg, d1, args.alpha, args.nbar))
-    return ["x", *CoverageBreakdown._fields], [(d1, *point)], 0
+    point = coverage(args.d1, cfg, resolve_intensity(cfg, args.d1, args.alpha))
+    return ["x", *CoverageBreakdown._fields], [(args.d1, *point)], 0
 
 
 def _cmd_sweep(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
@@ -143,7 +142,7 @@ def _cmd_sweep(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
 def _cmd_mc(cfg: NetworkConfig, args: argparse.Namespace) -> _Table:
     from . import mcsim
 
-    alpha = resolve_intensity(cfg, args.d1, args.alpha, args.nbar)
+    alpha = resolve_intensity(cfg, args.d1, args.alpha)
     report = mcsim.estimate(args.d1, cfg, alpha, args.trials, seed=args.seed)
     rows = [(name, *est) for name, est in vars(report).items()]
     return ["outcome", *mcsim.McEstimate._fields], rows, 0
@@ -263,15 +262,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("table1", help="print the per-SF uplink characteristics")
     p.set_defaults(run=_cmd_table1)
 
-    def _pinning(sub_parser: argparse.ArgumentParser) -> None:
-        group = sub_parser.add_mutually_exclusive_group()
-        group.add_argument("--alpha", type=_finite_float)
-        group.add_argument("--nbar", type=_finite_float)
-
     p = sub.add_parser("coverage", help="probability breakdown at one distance")
     p.set_defaults(run=_cmd_coverage)
     p.add_argument("--d1", type=_finite_float, required=True)
-    _pinning(p)
+    p.add_argument("--alpha", type=_finite_float)
 
     p = sub.add_parser("sweep", help="grid sweep of the breakdown")
     p.set_defaults(run=_cmd_sweep)
@@ -280,14 +274,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--stop", type=_finite_float, required=True)
     p.add_argument("--step", type=_finite_float, required=True)
     p.add_argument("--d1", type=_finite_float, help=d1_help)
-    _pinning(p)
+    p.add_argument("--alpha", type=_finite_float)
     p.add_argument("--mc-trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("mc", help="Monte Carlo estimates at one operating point")
     p.set_defaults(run=_cmd_mc)
     p.add_argument("--d1", type=_finite_float, required=True)
-    _pinning(p)
+    p.add_argument("--alpha", type=_finite_float)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

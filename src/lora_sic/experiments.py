@@ -6,7 +6,7 @@ import math
 
 from .analytic import _operating_point, _q1, _q2, coverage
 from .geometry import interferer_intensity, nodes_from_alpha, ring_of
-from .params import DEFAULT_SEED, MAX_ALPHA, NetworkConfig, SfParams, _integer, _record
+from .params import DEFAULT_SEED, MAX_ALPHA, NetworkConfig, SfParams, _integer, _record, _uint64
 
 SWEEP_VARIABLES = ("d1", "alpha", "gamma_db")
 
@@ -21,14 +21,14 @@ class InfeasibleTargetError(ValueError):
 class SweepSpec(
     _record(
         "SweepSpec", "variable start stop step",
-        d1=None, alpha=None, nbar=None, mc_trials=0, seed=DEFAULT_SEED,
+        d1=None, alpha=None, mc_trials=0, seed=DEFAULT_SEED,
     )
 ):
     """One-dimensional grid over d1, alpha or gamma_db.
 
-    Non-swept parameters are pinned by ``d1`` (None: the cell edge) and by
-    at most one of ``alpha`` or ``nbar``, which :func:`resolve_intensity`
-    turns into each point's intensity.  ``mc_trials`` = 0 keeps it analytic.
+    Non-swept parameters are pinned by ``d1`` (None: the cell edge) and
+    ``alpha`` (None: the scenario decides, see :func:`resolve_intensity`).
+    ``mc_trials`` = 0 keeps it analytic; ``seed`` lies in [0, 2^64) either way.
     """
 
     def _check(self) -> None:
@@ -36,7 +36,7 @@ class SweepSpec(
             raise ValueError(
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
             )
-        for name in ("start", "stop", "step", "d1", "alpha", "nbar"):
+        for name in ("start", "stop", "step", "d1", "alpha"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -49,12 +49,10 @@ class SweepSpec(
                 f"a grid from {self.start} to {self.stop} by {self.step} would "
                 f"exceed {MAX_SWEEP_POINTS} points"
             )
-        for name in ("mc_trials", "seed"):
-            _integer(name, getattr(self, name))
+        _integer("mc_trials", self.mc_trials)
+        _uint64("seed", self.seed)
         if self.mc_trials < 0:
             raise ValueError("mc_trials must be nonnegative")
-        if self.alpha is not None and self.nbar is not None:
-            raise ValueError("give either alpha or nbar, not both")
 
     def _steps(self) -> float:
         # The slack absorbs binary representation error in (stop-start)/step.
@@ -73,26 +71,21 @@ class SweepRow(_record("SweepRow", "x point mc")):
     the :class:`~lora_sic.mcsim.McReport` ``mc`` (None otherwise)."""
 
 
-def resolve_intensity(
-    cfg: NetworkConfig, d1: float, alpha: float | None = None, nbar: float | None = None
-) -> float:
+def resolve_intensity(cfg: NetworkConfig, d1: float, alpha: float | None = None) -> float:
     """The interferer intensity for the ring containing ``d1``.
 
     The first of these that applies decides it:
 
     1. an explicit ``alpha``;
-    2. an explicit ``nbar``, 0 included, through
+    2. the scenario's ``nbar``, when it is above 0, through
        :func:`~lora_sic.geometry.interferer_intensity`;
-    3. the scenario's own ``nbar``, when it is above 0, likewise;
-    4. otherwise alpha = 1.
+    3. otherwise alpha = 1.
     """
     if alpha is not None:
         return alpha
-    if nbar is None:
-        if not cfg.nbar > 0:
-            return 1.0
-        nbar = cfg.nbar
-    return interferer_intensity(ring_of(d1, cfg), cfg, nbar)
+    if not cfg.nbar > 0:
+        return 1.0
+    return interferer_intensity(ring_of(d1, cfg), cfg)
 
 
 def _d1_or_edge(d1: float | None, cfg: NetworkConfig) -> float:
@@ -116,7 +109,7 @@ def sweep(spec: SweepSpec, cfg: NetworkConfig) -> list[SweepRow]:
             alpha = x
         else:
             point_cfg = cfg._replace(gamma_db=x)
-        alpha_i = resolve_intensity(point_cfg, d1, alpha, spec.nbar)
+        alpha_i = resolve_intensity(point_cfg, d1, alpha)
         point = coverage(d1, point_cfg, alpha_i)
         report = None
         if spec.mc_trials > 0:

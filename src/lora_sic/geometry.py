@@ -21,7 +21,8 @@ def ring_of(d: float, cfg: NetworkConfig) -> int:
     if math.isnan(d):
         raise ValueError(f"distance must be a number, got {d}")
     if d <= 0:
-        raise OutOfCoverageError(f"distance must be positive, got {d}")
+        # + 0.0 names -0 as 0.0, the value a sweep's grid holds there.
+        raise OutOfCoverageError(f"distance must be positive, got {d + 0.0}")
     radius = cfg.boundaries[-1]
     if d > radius:
         raise OutOfCoverageError(f"distance {d} m exceeds the cell radius {radius} m")
@@ -36,19 +37,14 @@ def ring_area(ring: int, cfg: NetworkConfig) -> float:
     return math.pi * (hi * hi - lo * lo)
 
 
-def interferer_intensity(ring: int, cfg: NetworkConfig, nbar: float) -> float:
+def interferer_intensity(ring: int, cfg: NetworkConfig) -> float:
     """Mean number of active same-ring interferers during a vulnerability window.
 
-    ``nbar`` nodes spread uniformly over the disc, each active for the
-    scenario's ``duty_cycle``.  The window spans two packet durations, hence
-    the factor 2 on top of the duty-cycled mean ring population.
+    The scenario's ``nbar`` nodes spread uniformly over the disc, each active
+    for its ``duty_cycle``.  The window spans two packet durations, hence the
+    factor 2 on top of the duty-cycled mean ring population.
     """
-    # The messages keep the spelling the command line has always printed.
-    if not math.isfinite(nbar):
-        raise ValueError(f"n_bar must be finite, got {nbar}")
-    if nbar < 0:
-        raise ValueError(f"n_bar must be nonnegative, got {nbar}")
-    density = nbar / (math.pi * cfg.boundaries[-1] ** 2)
+    density = cfg.nbar / (math.pi * cfg.boundaries[-1] ** 2)
     return 2.0 * cfg.duty_cycle * density * ring_area(ring, cfg)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _operating_point, _OperatingPoint
-from .params import DEFAULT_SEED, MAX_ALPHA, NetworkConfig, _integer, _record
+from .params import DEFAULT_SEED, MAX_ALPHA, NetworkConfig, _integer, _record, _uint64
 
 #: Trials per chunk; fixed so a seed always yields the same chunk streams.
 CHUNK_TRIALS = 1 << 14
@@ -44,10 +44,7 @@ def derive_seed(seed: int, index: int) -> int:
     Both are integers in [0, 2^64), Python or numpy; any other value,
     a bool or a float included, is refused, so no two seeds share a stream.
     """
-    seed, index = _integer("seed", seed), _integer("index", index)
-    for name, value in (("seed", seed), ("index", index)):
-        if not 0 <= value <= _MASK64:
-            raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    seed, index = _uint64("seed", seed), _uint64("index", index)
     x = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
@@ -345,7 +342,7 @@ def estimate(
     ``n_trials`` must lie in [1, :data:`MAX_TRIALS`] and ``seed`` in
     [0, 2^64); both are integers, and a bool or a float is refused.
     """
-    n_trials, seed = _integer("n_trials", n_trials), _integer("seed", seed)
+    n_trials, seed = _integer("n_trials", n_trials), _uint64("seed", seed)
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     if n_trials > MAX_TRIALS:

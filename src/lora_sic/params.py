@@ -139,6 +139,15 @@ def _integer(name: str, value: object) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _uint64(name: str, value: object) -> int:
+    """``value`` as :func:`_integer` takes it, refused outside [0, 2^64):
+    a seed or a stream index."""
+    value = _integer(name, value)
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    return value
+
+
 def _linear_in_range(value_db: float, what: str) -> float:
     """``value_db`` on the linear scale, refused when that is 0 or infinite."""
     try:

@@ -229,6 +229,23 @@ def test_infeasible_plan_exit_status(capsys):
     assert "exceeds the zero-load coverage" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mc", "--d1", "-0", "--trials", "5"],
+    ["plan", "--target", "0.8", "--d1", "-0"],
+], ids=["mc", "plan"])
+def test_mc_and_plan_name_a_zero_distance_without_its_sign(capsys, argv):
+    # As coverage and a d1 sweep from -0 do (test_cli_properties pins those).
+    assert _run(capsys, argv) == (2, "", "error: distance must be positive, got 0.0\n")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_analytic_sweep_refuses_a_seed_outside_64_bits(capsys, seed):
+    # The seed is checked whether or not Monte Carlo columns are asked for.
+    argv = ["sweep", "--var", "gamma_db", "--start", "-3", "--stop", "3", "--step", "2",
+            "--seed", seed]
+    assert _run(capsys, argv) == (2, "", f"error: seed must lie in [0, 2^64), got {seed}\n")
+
+
 @pytest.mark.parametrize("radius", ["1234.5", "5000"])
 @pytest.mark.parametrize(
     "argv",

@@ -39,14 +39,8 @@ def _overrides(draw):
 
 @st.composite
 def _pinning(draw):
-    """``--alpha``, ``--nbar``, neither or (refused) both."""
-    argv = []
-    pinning = draw(st.sampled_from(["none", "alpha", "nbar", "alpha", "nbar", "both"]))
-    if pinning in ("alpha", "both"):
-        argv.append(f"--alpha={draw(_number(0.0, 4.0))}")
-    if pinning in ("nbar", "both"):
-        argv.append(f"--nbar={draw(_number(0.0, 3000.0))}")
-    return argv
+    """``--alpha``, or nothing so that the scenario's ``nbar`` decides."""
+    return [f"--alpha={draw(_number(0.0, 4.0))}"] if draw(st.booleans()) else []
 
 
 @st.composite

@@ -146,22 +146,22 @@ def test_sweep_gamma_anchors(cfg):
 
 
 def test_sweep_probabilities_stay_in_unit_interval(cfg):
-    specs = [
-        SweepSpec(variable="d1", start=100.0, stop=3000.0, step=100.0, alpha=1.0),
-        SweepSpec(variable="alpha", start=0.0, stop=2.0, step=0.1, d1=3000.0),
-        SweepSpec(variable="gamma_db", start=0.0, stop=10.0, step=0.5, d1=3000.0, alpha=1.0),
-        SweepSpec(variable="d1", start=100.0, stop=3000.0, step=100.0, nbar=1000.0),
+    runs = [
+        (SweepSpec(variable="d1", start=100.0, stop=3000.0, step=100.0, alpha=1.0), cfg),
+        (SweepSpec(variable="alpha", start=0.0, stop=2.0, step=0.1, d1=3000.0), cfg),
+        (SweepSpec(variable="gamma_db", start=0.0, stop=10.0, step=0.5, d1=3000.0, alpha=1.0), cfg),
+        (SweepSpec(variable="d1", start=100.0, stop=3000.0, step=100.0), cfg._replace(nbar=1000.0)),
     ]
-    for spec in specs:
-        for row in sweep(spec, cfg):
+    for spec, run_cfg in runs:
+        for row in sweep(spec, run_cfg):
             for name in ("h1", "q1", "q2", "c1", "c1_sic"):
                 value = getattr(row.point, name)
                 assert 0.0 <= value <= 1.0, f"{name}={value} at x={row.x}"
 
 
 def test_sweep_nbar_matches_explicit_intensity(cfg):
-    spec = SweepSpec(variable="d1", start=3000.0, stop=3000.0, step=1.0, nbar=500.0)
-    point = sweep(spec, cfg)[0].point
+    spec = SweepSpec(variable="d1", start=3000.0, stop=3000.0, step=1.0)
+    point = sweep(spec, cfg._replace(nbar=500.0))[0].point
     explicit = coverage(3000.0, cfg, BORDER_ALPHA_500)
     assert point.c1 == pytest.approx(explicit.c1, rel=1e-12)
     assert point.c1 == pytest.approx(0.1381618975, abs=1e-9)
@@ -169,19 +169,17 @@ def test_sweep_nbar_matches_explicit_intensity(cfg):
 
 
 @pytest.mark.parametrize(
-    "scenario_nbar, alpha, nbar, expected",
+    "scenario_nbar, alpha, expected",
     [
-        (500.0, 0.25, None, 0.25),  # 1. an explicit alpha beats both traffic sources
-        (500.0, 0.0, None, 0.0),
-        (500.0, None, 0.0, 0.0),  # 2. an explicit nbar, 0 included, beats the scenario's
-        (0.0, None, 500.0, BORDER_ALPHA_500),
-        (500.0, None, None, BORDER_ALPHA_500),  # 3. the scenario's own nbar
-        (0.0, None, None, 1.0),  # 4. otherwise unit intensity
+        (500.0, 0.25, 0.25),  # 1. an explicit alpha beats the scenario's nbar
+        (500.0, 0.0, 0.0),  # alpha 0 included: a silent network
+        (500.0, None, BORDER_ALPHA_500),  # 2. the scenario's nbar, when above 0
+        (0.0, None, 1.0),  # 3. otherwise unit intensity
     ],
 )
-def test_resolve_intensity_rule(scenario_nbar, alpha, nbar, expected):
+def test_resolve_intensity_rule(scenario_nbar, alpha, expected):
     cfg = default_config(nbar=scenario_nbar)
-    assert resolve_intensity(cfg, 3000.0, alpha, nbar) == pytest.approx(expected, rel=1e-12)
+    assert resolve_intensity(cfg, 3000.0, alpha) == pytest.approx(expected, rel=1e-12)
 
 
 def test_resolve_intensity_uses_traffic_when_intensity_omitted():
@@ -227,8 +225,6 @@ def test_sweep_spec_validation():
         SweepSpec(variable="alpha", start=0.0, stop=1.0, step=0.0)
     with pytest.raises(ValueError):
         SweepSpec(variable="alpha", start=1.0, stop=0.0, step=0.1)
-    with pytest.raises(ValueError):
-        SweepSpec(variable="d1", start=0.0, stop=1.0, step=0.1, alpha=1.0, nbar=10.0)
 
 
 @pytest.mark.parametrize("field", ["mc_trials", "seed"])
@@ -245,7 +241,7 @@ def test_sweep_takes_numpy_integer_counts_and_seeds(cfg):
     assert sweep(numpy_spec, cfg) == sweep(spec, cfg)
 
 
-@pytest.mark.parametrize("field", ["start", "stop", "step", "d1", "alpha", "nbar"])
+@pytest.mark.parametrize("field", ["start", "stop", "step", "d1", "alpha"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_sweep_spec_rejects_non_finite_fields(field, value):
     fields = dict(variable="d1", start=100.0, stop=3000.0, step=100.0, alpha=None)

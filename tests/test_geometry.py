@@ -70,13 +70,13 @@ def test_ring_areas_sum_to_disc():
 
 
 def test_interferer_intensity_silent_nodes():
-    assert interferer_intensity(3, NetworkConfig(duty_cycle=0.0), 1000.0) == 0.0
+    assert interferer_intensity(3, NetworkConfig(nbar=1000.0, duty_cycle=0.0)) == 0.0
 
 
 def test_interferer_intensity_fifty_node_ring():
     # 50 nodes in ring 1 at 1% duty cycle give unit intensity.
     nbar = 50.0 * (3000.0**2) / 500.0**2
-    assert interferer_intensity(1, NetworkConfig(duty_cycle=0.01), nbar) == pytest.approx(
+    assert interferer_intensity(1, NetworkConfig(nbar=nbar, duty_cycle=0.01)) == pytest.approx(
         1.0, rel=1e-12
     )
 
@@ -84,23 +84,23 @@ def test_interferer_intensity_fifty_node_ring():
 def test_interferer_intensity_capacity_anchor():
     # 10917 nodes in one ring under the SF7 tabulated duty cycle: intensity ~1.
     nbar = 10917.0 * (3000.0**2) / 500.0**2
-    cfg = NetworkConfig(duty_cycle=45.8e-6)
-    assert interferer_intensity(1, cfg, nbar) == pytest.approx(1.0, abs=1e-3)
+    cfg = NetworkConfig(nbar=nbar, duty_cycle=45.8e-6)
+    assert interferer_intensity(1, cfg) == pytest.approx(1.0, abs=1e-3)
 
 
 @given(scale=st.floats(min_value=0.01, max_value=100.0))
 def test_interferer_intensity_linear_in_population(scale):
-    a0 = interferer_intensity(4, CFG, 400.0)
-    a1 = interferer_intensity(4, CFG, 400.0 * scale)
+    a0 = interferer_intensity(4, CFG._replace(nbar=400.0))
+    a1 = interferer_intensity(4, CFG._replace(nbar=400.0 * scale))
     assert a1 == pytest.approx(scale * a0, rel=1e-9)
 
 
 @given(scale=st.floats(min_value=0.01, max_value=50.0))
 def test_interferer_intensity_linear_in_duty_cycle(scale):
-    base = NetworkConfig(duty_cycle=0.042 / 50)
-    scaled = NetworkConfig(duty_cycle=0.042 * scale / 50)
-    assert interferer_intensity(2, scaled, 400.0) == pytest.approx(
-        scale * interferer_intensity(2, base, 400.0), rel=1e-9
+    base = NetworkConfig(nbar=400.0, duty_cycle=0.042 / 50)
+    scaled = NetworkConfig(nbar=400.0, duty_cycle=0.042 * scale / 50)
+    assert interferer_intensity(2, scaled) == pytest.approx(
+        scale * interferer_intensity(2, base), rel=1e-9
     )
 
 
@@ -125,7 +125,7 @@ def test_nodes_from_alpha_rejects_bad_duty():
 )
 def test_nodes_from_alpha_inverts_intensity(n_bar, ring):
     """Applying the intensity formula then inverting recovers the rounded ring population."""
-    alpha = interferer_intensity(ring, CFG, n_bar)
+    alpha = interferer_intensity(ring, CFG._replace(nbar=n_bar))
     n_ring = n_bar / (math.pi * 3000.0**2) * ring_area(ring, CFG)
     # Rounding is discontinuous at half-integers, where a one-ulp wobble in
     # the alpha round trip legitimately flips the result; skip that set.
@@ -138,8 +138,6 @@ def test_nodes_from_alpha_inverts_intensity(n_bar, ring):
 def test_traffic_rejects_negative_population():
     with pytest.raises(ValueError, match="nbar must be nonnegative"):
         NetworkConfig(nbar=-1.0)
-    with pytest.raises(ValueError, match="n_bar must be nonnegative"):
-        interferer_intensity(1, CFG, -1.0)
 
 
 @pytest.mark.parametrize("duty_cycle", [-0.01, 1.0, math.nan])
